@@ -2,8 +2,8 @@
 
 The package simulates a token scheme where a bank mints identical 2k-qubit
 states, holders redeem them by a computational-basis measurement whose
-outcome is verified classically against the bank's secret and an append-only
-history, and a swap-test audit lets holders catch a bank that tries to make
+outcome is verified classically against the bank's secret and a per-series
+freshness ledger, and a swap-test audit lets holders catch a bank that tries to make
 tokens traceable. Monte Carlo scenarios and exact inequality suites verify
 the scheme's quantitative behavior.
 """
@@ -13,7 +13,6 @@ from .core import (
     RegisterLayout,
     SparseState,
     SwapOutcome,
-    apply_register_swap,
     fidelity,
     inner_product,
     measure_register,
@@ -29,10 +28,10 @@ from .core import (
 from .scheme import (
     ClassicalParams,
     LazySecret,
+    Ledger,
     SchemeParams,
     SecretString,
     TokenReport,
-    VerificationHistory,
     btest,
     mint,
     mint_classical,
@@ -44,7 +43,6 @@ from .scheme import (
 from .audit import AuditOutcome, ChainAudit, anonymity_gap, report_chain, report_prime
 from .adversary import (
     ForgerStrategy,
-    TrackingBankStrategy,
     eval_all_correct_bound,
     eval_forgery_bound,
     mint_loaded,

@@ -29,7 +29,6 @@ from .core import RegisterLayout, SparseState
 from .scheme import SecretString, TokenReport, btest, report_emulated
 
 FORGER_POLICIES = ("uniform-fresh-index", "replay", "block-collision")
-BANK_STRATEGIES = ("honest", "loaded_entangled", "permutation_paired")
 
 
 @dataclass(frozen=True)
@@ -48,18 +47,6 @@ class ForgerStrategy:
             raise ValueError("need 0 <= measured <= guess_budget")
         if self.policy in ("replay", "block-collision") and self.measured < 1:
             raise ValueError(f"{self.policy} needs at least one measured token")
-
-
-@dataclass(frozen=True)
-class TrackingBankStrategy:
-    """How a tracking bank deviates at mint time and what it retains."""
-
-    name: str
-    retained: str
-
-    def __post_init__(self):
-        if self.name not in BANK_STRATEGIES:
-            raise ValueError(f"unknown bank strategy {self.name!r}")
 
 
 def run_forgery(
@@ -214,24 +201,3 @@ def permutation_pair_hits(
         if j in seen and j != i:
             hits.append((i, j))
     return hits
-
-
-def bank_trace_guess(
-    strategy: TrackingBankStrategy,
-    retained,
-    message: TokenReport,
-    history: Sequence[TokenReport] = (),
-) -> bool:
-    """Does the tracking bank flag this verification message as the traced user?
-
-    For ``loaded_entangled`` the retained datum is the bank register's
-    measured index; for ``permutation_paired`` it is the permutation, and the
-    message is flagged when its partner index already appears in the history.
-    """
-    if strategy.name == "honest":
-        raise ValueError("an honest bank has nothing to trace with")
-    if strategy.name == "loaded_entangled":
-        return loaded_trace_check(int(retained), message)
-    arr = np.asarray(retained, dtype=np.int64)
-    partner = int(arr[message.index - 1])
-    return any(r.index - 1 == partner for r in history)

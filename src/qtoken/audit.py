@@ -165,7 +165,6 @@ def anonymity_gap(
     bank: str | None,
     token_a: str,
     token_b: str,
-    dense_limit: int = 12,
 ) -> AnonymityGap:
     """Distinguishing advantage between two token slots versus its audit bound.
 
@@ -179,8 +178,8 @@ def anonymity_gap(
         raise ValueError("token registers must have equal widths")
     keep_a: Sequence[str] = [token_a] if bank is None else [bank, token_a]
     keep_b: Sequence[str] = [token_b] if bank is None else [bank, token_b]
-    sigma_a = reduced_density(chi, layout, keep_a, dense_limit=dense_limit)
-    sigma_b = reduced_density(chi, layout, keep_b, dense_limit=dense_limit)
+    sigma_a = reduced_density(chi, layout, keep_a)
+    sigma_b = reduced_density(chi, layout, keep_b)
     advantage = trace_distance_advantage(sigma_a, sigma_b)
     p_detect = swap_probability(chi, layout, token_a, token_b)
     return AnonymityGap(advantage, 0.5 + float(np.sqrt(p_detect)))

@@ -1,9 +1,10 @@
 """The bank's classical side as a long-running, crash-safe service.
 
-Each minted series is a record of (parameters, secret, verification history,
-attempt counter) plus a freshness set shared between the money, one-time-pad
-and voting flows: once a pair (I, R) has been submitted for verification or
-consumed as a pad, it can never authorize anything again.
+Each minted series keeps a ``scheme.Ledger`` (its secret, every spent pair
+and the verification attempt count) plus a vote tally. The ledger is shared
+between the money, one-time-pad and voting flows: once a pair (I, R) has been
+submitted for verification or consumed as a pad, it can never authorize
+anything again.
 
 Durability comes from an append-only log with one record per request,
 written (and optionally fsynced) before the response leaves the service.
@@ -22,8 +23,9 @@ Log file format, one record per line:
 
     <verb> <series> <I> <payload_hex> <decision>
 
-where <decision> is OK, OK:<payload>, REJECT:<reason> or ERROR:<reason>, and
-series registrations are recorded as `SERIES <series> <k> <S_hex> OK`.
+where <payload_hex> is the report's wire form for VERIFY and the ciphertext
+otherwise, <decision> is OK, OK:<payload>, REJECT:<reason> or ERROR:<reason>,
+and series registrations are recorded as `SERIES <series> <k> <S_hex> OK`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .scheme import SchemeParams, SecretString, TokenReport, VerificationHistory
+from .scheme import Ledger, SchemeParams, SecretString, TokenReport
+
+# Pad verbs and the rejection each gives for an already spent pair.
+_PAD_REJECTIONS = {"DECODE": "reused-pad", "VOTE": "double-vote"}
 
 
 class CorruptLogError(RuntimeError):
@@ -54,37 +59,20 @@ class Decision:
     payload: int | None = None
     payload_width: int = 0
 
-    def wire(self) -> str:
-        if self.status == "OK":
-            if self.payload is None:
-                return "OK"
-            return f"OK {self.payload:0{self.payload_width}x}"
-        return f"{self.status} {self.reason}"
-
-    def log_token(self) -> str:
-        if self.status == "OK":
-            if self.payload is None:
-                return "OK"
-            return f"OK:{self.payload:0{self.payload_width}x}"
-        return f"{self.status}:{self.reason}"
+    def text(self, sep: str = " ") -> str:
+        """The response line, or with ``sep=":"`` the log record's decision field."""
+        if self.status != "OK":
+            return f"{self.status}{sep}{self.reason}"
+        if self.payload is None:
+            return "OK"
+        return f"OK{sep}{self.payload:0{self.payload_width}x}"
 
 
 @dataclass
 class SeriesRecord:
-    series_id: str
-    params: SchemeParams
-    secret: SecretString
-    history: VerificationHistory = field(default_factory=VerificationHistory)
-    pads_used: set[int] = field(default_factory=set)
+    ledger: Ledger
     tally: Counter = field(default_factory=Counter)
     accepted: int = 0
-
-    @property
-    def attempts(self) -> int:
-        return len(self.history)
-
-    def pair_seen(self, wire: int) -> bool:
-        return self.history.contains_wire(wire) or wire in self.pads_used
 
 
 class BankService:
@@ -98,7 +86,6 @@ class BankService:
     def __init__(self, log_path: str | None = None, sync: bool = True):
         self._lock = threading.Lock()
         self._series: dict[str, SeriesRecord] = {}
-        self._log_path = log_path
         self._sync = sync
         self._log = open(log_path, "a", encoding="ascii") if log_path else None
 
@@ -107,14 +94,9 @@ class BankService:
     @classmethod
     def recover(cls, log_path: str, sync: bool = True) -> BankService:
         """Rebuild service state by replaying the log; verify every decision."""
-        service = cls.__new__(cls)
-        service._lock = threading.Lock()
-        service._series = {}
-        service._log_path = log_path
-        service._sync = sync
-        service._log = None
-        offset = 0
+        service = cls(sync=sync)
         if os.path.exists(log_path):
+            offset = 0
             with open(log_path, "r", encoding="ascii") as fh:
                 for line_no, raw in enumerate(fh, start=1):
                     service._replay(raw, line_no, offset)
@@ -130,7 +112,7 @@ class BankService:
     def _append_log(self, verb: str, series_id: str, index, payload: str, decision: Decision):
         if self._log is None:
             return
-        self._log.write(f"{verb} {series_id} {index} {payload} {decision.log_token()}\n")
+        self._log.write(f"{verb} {series_id} {index} {payload} {decision.text(':')}\n")
         self._log.flush()
         if self._sync:
             os.fsync(self._log.fileno())
@@ -141,18 +123,15 @@ class BankService:
         sid = series_id if series_id is not None else secret.series_id
         with self._lock:
             self._register(secret, sid)
-            if self._log is not None:
-                self._log.write(f"SERIES {sid} {secret.k} {secret.to_hex()} OK\n")
-                self._log.flush()
-                if self._sync:
-                    os.fsync(self._log.fileno())
+            if self._log is not None:  # spares the hex encoding when nothing is logged
+                self._append_log("SERIES", sid, secret.k, secret.to_hex(), Decision("OK"))
         return sid
 
     def _register(self, secret: SecretString, sid: str) -> None:
         if sid in self._series:
             raise ValueError(f"series {sid!r} already registered")
-        params = SchemeParams.for_k(secret.k)
-        self._series[sid] = SeriesRecord(sid, params, secret)
+        cap = SchemeParams.for_k(secret.k).cap_test
+        self._series[sid] = SeriesRecord(Ledger(secret, cap))
 
     def series_ids(self) -> list[str]:
         with self._lock:
@@ -160,17 +139,16 @@ class BankService:
 
     def series_k(self, series_id: str) -> int | None:
         rec = self._series.get(series_id)
-        return rec.params.k if rec else None
+        return rec.ledger.k if rec else None
 
     def snapshot(self, series_id: str) -> dict:
         """Point-in-time view of one series, for tests and inspection."""
         with self._lock:
             rec = self._series[series_id]
             return {
-                "attempts": rec.attempts,
+                "attempts": rec.ledger.attempts,
                 "accepted": rec.accepted,
-                "submitted": [r.wire() for r in rec.history.entries],
-                "pads_used": sorted(rec.pads_used),
+                "pads_used": rec.ledger.pads(),
                 "tally": dict(rec.tally),
             }
 
@@ -178,76 +156,69 @@ class BankService:
         with self._lock:
             return dict(self._series[series_id].tally)
 
-    # -- decision cores (callers hold the lock) ------------------------------
+    # -- decisions -------------------------------------------------------------
 
-    def _apply_verify(self, rec: SeriesRecord, rep: TokenReport) -> Decision:
-        if rec.attempts >= rec.params.cap_test:
-            return Decision("REJECT", "budget-exhausted")
-        valid = rec.secret.block(rep.index) == rep.value
-        fresh = not rec.pair_seen(rep.wire())
-        rec.history.append(rep)
-        if not valid:
-            return Decision("REJECT", "bad-value")
-        if not fresh:
-            return Decision("REJECT", "double-spend")
-        rec.accepted += 1
-        return Decision("OK")
+    def _decide(self, verb: str, rec: SeriesRecord | None, index: int, value: int) -> Decision:
+        """Apply one request to its series; callers hold the lock.
 
-    def _apply_decode(self, rec: SeriesRecord, index: int, cipher: int, vote: bool) -> Decision:
-        k = rec.params.k
+        ``value`` is the report's wire form for VERIFY and the ciphertext for
+        DECODE and VOTE. A VERIFY wire that disagrees with ``index`` can only
+        come from a damaged log and raises ``ValueError``.
+        """
+        if verb != "VERIFY" and verb not in _PAD_REJECTIONS:
+            raise ValueError(f"unknown verb {verb!r}")
+        if rec is None:
+            return Decision("ERROR", "unknown-series")
+        ledger, k = rec.ledger, rec.ledger.k
+        if verb == "VERIFY":
+            if not 0 <= value < 1 << (2 * k) or (value >> k) + 1 != index:
+                raise ValueError("index does not match serialized report")
+            reason = ledger.verify(index, value & ((1 << k) - 1))
+            if reason is not None:
+                return Decision("REJECT", reason)
+            rec.accepted += 1
+            return Decision("OK")
         if not 1 <= index <= 1 << k:
             return Decision("ERROR", "bad-index")
-        if not 0 <= cipher < 1 << k:
+        if not 0 <= value < 1 << k:
             return Decision("ERROR", "bad-payload")
-        pad = rec.secret.block(index)
-        wire = ((index - 1) << k) | pad
-        if rec.pair_seen(wire):
-            return Decision("REJECT", "double-vote" if vote else "reused-pad")
-        rec.pads_used.add(wire)
-        message = cipher ^ pad
-        if vote:
-            rec.tally[message] += 1
+        pad = ledger.spend_pad(index)
+        if pad is None:
+            return Decision("REJECT", _PAD_REJECTIONS[verb])
+        if verb == "VOTE":
+            rec.tally[value ^ pad] += 1
             return Decision("OK")
-        return Decision("OK", payload=message, payload_width=k // 4)
+        return Decision("OK", payload=value ^ pad, payload_width=k // 4)
+
+    def _submit(
+        self, verb: str, series_id: str, index: int, value: int, payload: str | None = None
+    ) -> Decision:
+        """Decide, log, reply: the one locked sequence behind every logged request.
+
+        ``payload`` is the logged hex field; DECODE and VOTE leave it to the
+        series' pad width (one digit for an unknown series).
+        """
+        with self._lock:
+            rec = self._series.get(series_id)
+            decision = self._decide(verb, rec, index, value)
+            if payload is None:
+                payload = f"{value:0{rec.ledger.k // 4 if rec else 1}x}"
+            self._append_log(verb, series_id, index, payload, decision)
+            return decision
 
     # -- handlers ------------------------------------------------------------
 
     def handle_verify(self, series_id: str, rep: TokenReport) -> Decision:
-        with self._lock:
-            rec = self._series.get(series_id)
-            if rec is not None and rep.k != rec.params.k:
-                raise ValueError("report and series have different k")
-            if rec is None:
-                decision = Decision("ERROR", "unknown-series")
-            else:
-                decision = self._apply_verify(rec, rep)
-            payload = rep.to_hex() if rep.k % 2 == 0 else format(rep.value, "x")
-            self._append_log("VERIFY", series_id, rep.index, payload, decision)
-            return decision
+        if self.series_k(series_id) not in (None, rep.k):
+            raise ValueError("report and series have different k")
+        payload = rep.to_hex() if rep.k % 2 == 0 else format(rep.value, "x")
+        return self._submit("VERIFY", series_id, rep.index, rep.wire(), payload)
 
     def handle_decode(self, series_id: str, index: int, cipher: int) -> Decision:
-        with self._lock:
-            rec = self._series.get(series_id)
-            if rec is None:
-                decision = Decision("ERROR", "unknown-series")
-                width = 1
-            else:
-                decision = self._apply_decode(rec, index, cipher, vote=False)
-                width = rec.params.k // 4
-            self._append_log("DECODE", series_id, index, f"{cipher:0{width}x}", decision)
-            return decision
+        return self._submit("DECODE", series_id, index, cipher)
 
     def handle_vote(self, series_id: str, index: int, cipher: int) -> Decision:
-        with self._lock:
-            rec = self._series.get(series_id)
-            if rec is None:
-                decision = Decision("ERROR", "unknown-series")
-                width = 1
-            else:
-                decision = self._apply_decode(rec, index, cipher, vote=True)
-                width = rec.params.k // 4
-            self._append_log("VOTE", series_id, index, f"{cipher:0{width}x}", decision)
-            return decision
+        return self._submit("VOTE", series_id, index, cipher)
 
     # -- wire protocol ---------------------------------------------------------
 
@@ -269,11 +240,9 @@ class BankService:
                 rep = TokenReport(index, payload, k)
             except ValueError:
                 return "REJECT bad-value"
-            return self.handle_verify(series_id, rep).wire()
-        if verb == "DECODE":
-            return self.handle_decode(series_id, index, payload).wire()
-        if verb == "VOTE":
-            return self.handle_vote(series_id, index, payload).wire()
+            return self.handle_verify(series_id, rep).text()
+        if verb in _PAD_REJECTIONS:
+            return self._submit(verb, series_id, index, payload).text()
         return "ERROR bad-request"
 
     # -- recovery ---------------------------------------------------------------
@@ -285,37 +254,16 @@ class BankService:
         verb, series_id, index_s, payload, logged = parts
         try:
             if verb == "SERIES":
-                secret = SecretString.from_hex(int(index_s), payload, series_id)
-                self._register(secret, series_id)
-                if logged != "OK":
-                    raise ValueError("series record must end with OK")
-                return
-            index = int(index_s)
-            rec = self._series.get(series_id)
-            if verb == "VERIFY":
-                if rec is None:
-                    decision = Decision("ERROR", "unknown-series")
-                else:
-                    rep = TokenReport.from_hex(rec.params.k, payload)
-                    if rep.index != index:
-                        raise ValueError("index does not match serialized report")
-                    decision = self._apply_verify(rec, rep)
-            elif verb in ("DECODE", "VOTE"):
-                if rec is None:
-                    decision = Decision("ERROR", "unknown-series")
-                else:
-                    decision = self._apply_decode(
-                        rec, index, int(payload, 16), vote=(verb == "VOTE")
-                    )
+                self._register(SecretString.from_hex(int(index_s), payload, series_id), series_id)
+                decision = Decision("OK")
             else:
-                raise ValueError(f"unknown verb {verb!r}")
-        except CorruptLogError:
-            raise
+                rec = self._series.get(series_id)
+                decision = self._decide(verb, rec, int(index_s), int(payload, 16))
         except Exception as exc:
             raise CorruptLogError(f"unreplayable record: {exc}", line_no, byte_offset)
-        if decision.log_token() != logged:
+        if decision.text(":") != logged:
             raise CorruptLogError(
-                f"replayed decision {decision.log_token()} != logged {logged}",
+                f"replayed decision {decision.text(':')} != logged {logged}",
                 line_no,
                 byte_offset,
             )

@@ -65,7 +65,8 @@ def _cmd_run(args) -> int:
         print(f"wrote {len(result.metrics)} metrics to {args.out}")
     for m in result.metrics:
         status = "pass" if m.passed else "FAIL"
-        print(f"{status}  {m.metric}: estimate={m.estimate!r} expected={m.expected!r} "
+        print(f"{status}  {m.metric}: estimate={float(m.estimate)!r} "
+              f"expected={float(m.expected)!r} "
               f"({m.relation})", file=sys.stderr)
     return 0 if result.all_passed() else 1
 

@@ -281,18 +281,6 @@ def _swap_permuter(layout: RegisterLayout, reg_a: str, reg_b: str):
     return permute
 
 
-def apply_register_swap(
-    state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str
-) -> SparseState:
-    """Exchange the contents of two equal-width registers (an involution)."""
-    if layout.num_qubits != state.num_qubits:
-        raise ValueError("layout width does not match state width")
-    permute = _swap_permuter(layout, reg_a, reg_b)
-    return _adopt_state(
-        state.num_qubits, {permute(i): a for i, a in state.amplitudes.items()}
-    )
-
-
 def _swap_parts(state, layout, reg_a, reg_b):
     """Symmetric and antisymmetric components (v +/- SWAP v)/2 plus ||minus||^2.
 
@@ -399,7 +387,6 @@ def reduced_density(
     state: SparseState,
     layout: RegisterLayout,
     keep: str | Sequence[str],
-    dense_limit: int = DENSE_QUBIT_LIMIT,
 ) -> DensityMatrix:
     """Partial trace keeping the named registers, in the given order.
 
@@ -415,9 +402,10 @@ def reduced_density(
     if len(set(kept_names)) != len(kept_names):
         raise ValueError("kept registers must be distinct")
     kept_width = sum(layout.width(n) for n in kept_names)
-    if kept_width > dense_limit:
+    if kept_width > DENSE_QUBIT_LIMIT:
         raise ValueError(
-            f"kept registers span {kept_width} qubits, above the dense limit {dense_limit}"
+            f"kept registers span {kept_width} qubits, "
+            f"above the dense limit {DENSE_QUBIT_LIMIT}"
         )
     traced = [n for n in layout.names if n not in kept_names]
 
@@ -475,13 +463,3 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> SparseState:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     vec /= np.linalg.norm(vec)
     return SparseState(num_qubits, {i: vec[i] for i in range(dim)}, normalize=True)
-
-
-def states_close(a: SparseState, b: SparseState, tol: float = NORM_TOL) -> bool:
-    """Amplitude-map equality (phase-sensitive) within ``tol``."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    for idx in a.amplitudes.keys() | b.amplitudes.keys():
-        if abs(a.amplitudes.get(idx, 0.0) - b.amplitudes.get(idx, 0.0)) > tol:
-            return False
-    return True

@@ -246,17 +246,17 @@ def _run_adversarial_history(spec: ScenarioSpec) -> ExperimentResult:
         token = scheme.token_state(secret)
 
         decoy = scheme.SecretString.random(k, rng, "decoy")
-        history = scheme.VerificationHistory()
+        ledger = scheme.Ledger(secret)
         for i in rng.permutation(size)[:j_foreign]:
-            history.append(scheme.TokenReport(int(i) + 1, decoy.block(int(i) + 1), k))
+            ledger.record(int(i) + 1, decoy.block(int(i) + 1))
         rep = scheme.report(token, rng)
-        rejected_foreign += not scheme.test(secret, history, rep)
+        rejected_foreign += not scheme.test(ledger, rep)
 
-        history_same = scheme.VerificationHistory()
+        ledger_same = scheme.Ledger(secret)
         for i in rng.permutation(size)[:j_same]:
-            history_same.append(scheme.TokenReport(int(i) + 1, secret.block(int(i) + 1), k))
+            ledger_same.record(int(i) + 1, secret.block(int(i) + 1))
         rep2 = scheme.report(token, rng)
-        rejected_same += not scheme.test(secret, history_same, rep2)
+        rejected_same += not scheme.test(ledger_same, rep2)
 
     p_foreign = j_foreign / size**2
     p_same = j_same / size

@@ -158,21 +158,17 @@ class SecretString:
     def to_hex(self) -> str:
         if self.bit_length % 4 != 0:
             raise ValueError("secret bit length is not a multiple of 4")
-        value = 0
-        for b in self._blocks:
-            value = (value << self.k) | int(b)
-        return format(value, f"0{self.bit_length // 4}x")
+        return format(int(self.bits(), 2), f"0{self.bit_length // 4}x")
 
     @classmethod
     def from_hex(cls, k: int, hex_string: str, series_id: str = "s0") -> SecretString:
         bit_length = len(hex_string) * 4
         if bit_length % k != 0:
             raise ValueError("hex length does not hold a whole number of blocks")
-        value = int(hex_string, 16)
-        count = bit_length // k
-        mask = (1 << k) - 1
-        blocks = [(value >> (k * (count - 1 - i))) & mask for i in range(count)]
-        return cls(k, blocks, series_id)
+        # int() also takes a sign or a 0x prefix; keep exactly bit_length low bits.
+        value = int(hex_string, 16) & ((1 << bit_length) - 1)
+        bits = format(value, f"0{bit_length}b")
+        return cls(k, [int(bits[i:i + k], 2) for i in range(0, bit_length, k)], series_id)
 
 
 class LazySecret:
@@ -246,27 +242,58 @@ class TokenReport:
         return cls((wire >> k) + 1, wire & ((1 << k) - 1), k)
 
 
-class VerificationHistory:
-    """Append-only record of every report submitted for one series."""
+class Ledger:
+    """Freshness ledger of one series: every spent pair and the attempt count.
 
-    __slots__ = ("entries", "_seen")
+    A pair (I, R) is spent, by its 2k-bit wire form, once it has been
+    submitted for verification, valid or not, or consumed as a one-time pad.
+    A spent pair never authorizes anything again. ``cap`` bounds the number
+    of verification attempts; ``None`` leaves them unbounded.
+    """
 
-    def __init__(self):
-        self.entries: list[TokenReport] = []
-        self._seen: set[int] = set()
+    __slots__ = ("secret", "k", "cap", "attempts", "spent")
 
-    def contains(self, report: TokenReport) -> bool:
-        return report.wire() in self._seen
+    def __init__(self, secret, cap: int | None = None):
+        self.secret = secret
+        self.k = secret.k
+        self.cap = cap
+        self.attempts = 0
+        self.spent: dict[int, bool] = {}  # wire -> consumed as a pad
 
-    def contains_wire(self, wire: int) -> bool:
-        return wire in self._seen
+    def check(self, index: int, value: int) -> str | None:
+        """Why verifying (index, value) now would be rejected, or None. Pure."""
+        if self.cap is not None and self.attempts >= self.cap:
+            return "budget-exhausted"
+        if self.secret.block(index) != value:
+            return "bad-value"
+        if (((index - 1) << self.k) | value) in self.spent:
+            return "double-spend"
+        return None
 
-    def append(self, report: TokenReport) -> None:
-        self.entries.append(report)
-        self._seen.add(report.wire())
+    def record(self, index: int, value: int) -> None:
+        """Count one verification attempt and spend its pair."""
+        self.attempts += 1
+        self.spent.setdefault(((index - 1) << self.k) | value, False)
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def verify(self, index: int, value: int) -> str | None:
+        """Decide one verification attempt and record it unless over budget."""
+        reason = self.check(index, value)
+        if reason != "budget-exhausted":
+            self.record(index, value)
+        return reason
+
+    def spend_pad(self, index: int) -> int | None:
+        """Consume the pad block_index(S); None if its pair is already spent."""
+        pad = self.secret.block(index)
+        wire = ((index - 1) << self.k) | pad
+        if wire in self.spent:
+            return None
+        self.spent[wire] = True
+        return pad
+
+    def pads(self) -> list[int]:
+        """Wire forms of the consumed pads, ascending."""
+        return sorted(wire for wire, pad in self.spent.items() if pad)
 
 
 @lru_cache(maxsize=None)
@@ -327,14 +354,14 @@ def report_emulated(secret, rng: np.random.Generator) -> TokenReport:
     return TokenReport(index, secret.block(index), secret.k)
 
 
-def test(secret, history: VerificationHistory, report: TokenReport) -> bool:
-    """Bank's verification predicate: block match and pair not seen before.
+def test(ledger: Ledger, report: TokenReport) -> bool:
+    """Bank's verification predicate: block match, fresh pair, budget left.
 
-    Pure function of its inputs; never mutates the history.
+    Pure function of its inputs; never mutates the ledger.
     """
-    if report.k != secret.k:
+    if report.k != ledger.k:
         raise ValueError("report and secret have different k")
-    return secret.block(report.index) == report.value and not history.contains(report)
+    return ledger.check(report.index, report.value) is None
 
 
 def test_classical(secret: SecretString, history: Iterable[str], value: str) -> bool:
@@ -344,18 +371,18 @@ def test_classical(secret: SecretString, history: Iterable[str], value: str) -> 
 
 
 def btest(secret, reports: Sequence[TokenReport], cap: int | None = None) -> str:
-    """Run a batch of reports against a growing history.
+    """Run a batch of reports through one fresh ledger.
 
-    Every submission is appended whether or not it is accepted, matching the
+    Every submission is recorded whether or not it is accepted, matching the
     bank's bookkeeping; the result is one acceptance bit per position.
     """
     if cap is None and secret.k >= 4 and secret.k % 4 == 0:
         cap = SchemeParams.for_k(secret.k).cap_test
     if cap is not None and len(reports) > cap:
         raise ValueError(f"{len(reports)} reports exceed the attempt budget {cap}")
-    history = VerificationHistory()
+    ledger = Ledger(secret, cap)
     bits = []
     for r in reports:
-        bits.append("1" if test(secret, history, r) else "0")
-        history.append(r)
+        bits.append("1" if test(ledger, r) else "0")
+        ledger.record(r.index, r.value)
     return "".join(bits)

@@ -79,21 +79,6 @@ def chi_squared_uniform(counts) -> tuple[float, int]:
     return chi_squared_statistic(obs, expected), obs.size - 1
 
 
-def chi_squared_two_sample(counts_a, counts_b) -> tuple[float, int]:
-    """Homogeneity statistic for two count vectors over the same cells."""
-    a = np.asarray(counts_a, dtype=float)
-    b = np.asarray(counts_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("count vectors must have the same shape")
-    keep = (a + b) > 0
-    a, b = a[keep], b[keep]
-    na, nb = a.sum(), b.sum()
-    pooled = (a + b) / (na + nb)
-    stat = float(np.sum((a - na * pooled) ** 2 / (na * pooled)))
-    stat += float(np.sum((b - nb * pooled) ** 2 / (nb * pooled)))
-    return stat, int(a.size - 1)
-
-
 def chi2_critical(dof: int, significance: float = 0.001) -> float:
     return float(_scipy_stats.chi2.ppf(1.0 - significance, dof))
 

@@ -1,7 +1,8 @@
 """Dense numpy reference implementations used as independent oracles.
 
 Everything here works on full statevectors with numpy reshapes, deliberately
-sharing no code with the sparse engine under test. Axis 0 of the reshaped
+sharing no code with the sparse engine under test. The two-sample
+chi-squared statistic compares sampled distributions in the tests. Axis 0 of the reshaped
 vector is the most significant bit of the basis index, matching the
 package's register ordering.
 """
@@ -47,3 +48,18 @@ def dense_register_probabilities(vec: np.ndarray, layout, reg: str) -> np.ndarra
     others = tuple(ax for ax in range(n) if ax not in axes)
     probs = np.sum(np.abs(psi) ** 2, axis=others)
     return probs.reshape(-1)
+
+
+def chi_squared_two_sample(counts_a, counts_b) -> tuple[float, int]:
+    """Homogeneity statistic for two count vectors over the same cells."""
+    a = np.asarray(counts_a, dtype=float)
+    b = np.asarray(counts_b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("count vectors must have the same shape")
+    keep = (a + b) > 0
+    a, b = a[keep], b[keep]
+    na, nb = a.sum(), b.sum()
+    pooled = (a + b) / (na + nb)
+    stat = float(np.sum((a - na * pooled) ** 2 / (na * pooled)))
+    stat += float(np.sum((b - nb * pooled) ** 2 / (nb * pooled)))
+    return stat, int(a.size - 1)

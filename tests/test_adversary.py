@@ -139,11 +139,7 @@ def test_loaded_token_index_correlation():
         rep = scheme.TokenReport.from_wire(k, int(bits, 2))
         bank_bits, _ = core.measure_register(post, layout, "bank", rng)
         assert int(bank_bits, 2) == rep.index - 1
-        assert adversary.bank_trace_guess(
-            adversary.TrackingBankStrategy("loaded_entangled", "k-qubit index register"),
-            int(bank_bits, 2),
-            rep,
-        )
+        assert adversary.loaded_trace_check(int(bank_bits, 2), rep)
 
 
 def test_loaded_bank_flags_unrelated_user_rarely():
@@ -256,20 +252,10 @@ def test_paired_bank_detects_its_pair_and_rarely_false_flags():
     assert false_flags / trials <= union_bound + 3 * math.sqrt(union_bound / trials)
 
 
-def test_bank_trace_guess_permutation_route():
+def test_permutation_pair_hits_partner_route():
     k = 2
     perm = [1, 0, 3, 2]
-    strategy = adversary.TrackingBankStrategy("permutation_paired", "the pairing")
     message = scheme.TokenReport(1, 0, k)  # partner index is perm[0] = 1
-    history = [scheme.TokenReport(2, 3, k)]
-    assert adversary.bank_trace_guess(strategy, perm, message, history)
-    assert not adversary.bank_trace_guess(strategy, perm, message, [])
-
-
-def test_honest_bank_cannot_trace():
-    with pytest.raises(ValueError):
-        adversary.bank_trace_guess(
-            adversary.TrackingBankStrategy("honest", "nothing"),
-            None,
-            scheme.TokenReport(1, 0, 2),
-        )
+    partner = scheme.TokenReport(2, 3, k)
+    assert adversary.permutation_pair_hits(perm, [partner, message]) == [(0, 1), (1, 0)]
+    assert adversary.permutation_pair_hits(perm, [message]) == []

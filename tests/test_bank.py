@@ -1,10 +1,15 @@
 """Bank service tests: verification, pads, votes, persistence, wire protocol."""
 
+import os
+import tempfile
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoken import bank, scheme
 
@@ -349,3 +354,214 @@ def test_fresh_series_rounds_have_one_accept_each():
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: service.handle_verify(sid, rep).status, range(8)))
         assert results.count("OK") == 1
+
+
+# -- golden transcript ----------------------------------------------------------------
+
+GOLDEN_S1 = scheme.SecretString(4, [(5 * i + 3) % 16 for i in range(16)], "s1")
+GOLDEN_S2 = scheme.SecretString(8, [(37 * i + 11) % 256 for i in range(256)], "s2")
+
+# Every verb x decision, malformed lines, unknown series and out-of-range VERIFY
+# fields. s1 has k = 4 (cap_test = 4, blocks 3, 8, 13, 2, 7, 12, 1, 6, ...);
+# s2 has k = 8 (blocks 5-9 are 9f, c4, e9, 0e, 33).
+GOLDEN_TRANSCRIPT = [
+    ("VERIFY s1 1 3", "OK"),
+    ("VERIFY s1 1 3", "REJECT double-spend"),
+    ("VERIFY s1 2 9", "REJECT bad-value"),
+    ("VERIFY s1 17 0", "REJECT bad-value"),  # out of range: not logged
+    ("VERIFY s1 2 1f", "REJECT bad-value"),  # out of range: not logged
+    ("VERIFY nope 1 00", "ERROR unknown-series"),  # not logged
+    ("DECODE s1 3 a", "OK 7"),
+    ("VERIFY s1 3 d", "REJECT double-spend"),  # the pad spent the pair
+    ("VERIFY s1 4 2", "REJECT budget-exhausted"),
+    ("DECODE s1 3 0", "REJECT reused-pad"),
+    ("DECODE s1 1 0", "REJECT reused-pad"),  # verified pair burns the pad
+    ("DECODE s1 0 0", "ERROR bad-index"),
+    ("DECODE s1 17 0", "ERROR bad-index"),
+    ("DECODE s1 5 10", "ERROR bad-payload"),
+    ("DECODE s1 5 -1", "ERROR bad-payload"),
+    ("DECODE nope 2 ab", "ERROR unknown-series"),  # logged
+    ("VOTE s1 5 6", "OK"),
+    ("VOTE s1 5 7", "REJECT double-vote"),
+    ("VOTE s1 6 c", "OK"),
+    ("VOTE s1 2 8", "OK"),  # the rejected (2, 9) report spent another pair
+    ("VOTE s1 99 0", "ERROR bad-index"),
+    ("VOTE s1 7 ff", "ERROR bad-payload"),
+    ("VOTE nope 1 0", "ERROR unknown-series"),  # logged
+    ("VOTE s1 1 0", "REJECT double-vote"),
+    ("VERIFY s2 5 9f", "OK"),
+    ("DECODE s2 6 f8", "OK 3c"),
+    ("DECODE s2 7 e9", "OK 00"),
+    ("VOTE s2 8 ab", "OK"),
+    ("VERIFY s2 6 c4", "REJECT double-spend"),
+    ("", "ERROR bad-request"),
+    ("VERIFY", "ERROR bad-request"),
+    ("VERIFY s1 1", "ERROR bad-request"),
+    ("VERIFY s1 1 3 extra", "ERROR bad-request"),
+    ("PING s1 1 0", "ERROR bad-request"),
+    ("VERIFY s1 x 3", "ERROR bad-request"),
+    ("DECODE s1 1 zz", "ERROR bad-request"),
+    ("verify s1 1 3", "ERROR bad-request"),
+    ("  VERIFY   s2   9   33  \n", "OK"),
+    ("DECODE s1 +8 0x6", "OK 0"),
+]
+
+GOLDEN_LOG = (
+    "SERIES s1 4 38d27c16b05af49e OK\n"
+    "SERIES s2 8 "
+    "0b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e83a8cdf2173c6186"
+    "abd0f51a3f6489aed3f81d42678cb1d6fb20456a8fb4d9fe23486d92b7dc0126"
+    "4b7095badf04294e7398bde2072c51769bc0e50a2f54799ec3e80d32577ca1c6"
+    "eb10355a7fa4c9ee13385d82a7ccf1163b6085aacff4193e6388add2f71c4166"
+    "8bb0d5fa1f44698eb3d8fd22476c91b6db00254a6f94b9de03284d7297bce106"
+    "2b50759abfe4092e53789dc2e70c31567ba0c5ea0f34597ea3c8ed12375c81a6"
+    "cbf0153a5f84a9cef3183d6287acd1f61b40658aafd4f91e43688db2d7fc2146"
+    "6b90b5daff24496e93b8dd02274c7196bbe0052a4f7499bee3082d52779cc1e6"
+    " OK\n"
+    "VERIFY s1 1 03 OK\n"
+    "VERIFY s1 1 03 REJECT:double-spend\n"
+    "VERIFY s1 2 19 REJECT:bad-value\n"
+    "DECODE s1 3 a OK:7\n"
+    "VERIFY s1 3 2d REJECT:double-spend\n"
+    "VERIFY s1 4 32 REJECT:budget-exhausted\n"
+    "DECODE s1 3 0 REJECT:reused-pad\n"
+    "DECODE s1 1 0 REJECT:reused-pad\n"
+    "DECODE s1 0 0 ERROR:bad-index\n"
+    "DECODE s1 17 0 ERROR:bad-index\n"
+    "DECODE s1 5 10 ERROR:bad-payload\n"
+    "DECODE s1 5 -1 ERROR:bad-payload\n"
+    "DECODE nope 2 ab ERROR:unknown-series\n"
+    "VOTE s1 5 6 OK\n"
+    "VOTE s1 5 7 REJECT:double-vote\n"
+    "VOTE s1 6 c OK\n"
+    "VOTE s1 2 8 OK\n"
+    "VOTE s1 99 0 ERROR:bad-index\n"
+    "VOTE s1 7 ff ERROR:bad-payload\n"
+    "VOTE nope 1 0 ERROR:unknown-series\n"
+    "VOTE s1 1 0 REJECT:double-vote\n"
+    "VERIFY s2 5 049f OK\n"
+    "DECODE s2 6 f8 OK:3c\n"
+    "DECODE s2 7 e9 OK:00\n"
+    "VOTE s2 8 ab OK\n"
+    "VERIFY s2 6 05c4 REJECT:double-spend\n"
+    "VERIFY s2 9 0833 OK\n"
+    "DECODE s1 8 6 OK:0\n"
+    "VERIFY nope 2 15 ERROR:unknown-series\n"
+)
+
+GOLDEN_S1_STATE = {"attempts": 4, "accepted": 1, "pads_used": [24, 45, 71, 92, 118],
+                   "tally": {1: 1, 0: 2}}
+
+
+def series_state(service, sid):
+    snap = service.snapshot(sid)
+    return {key: snap[key] for key in ("attempts", "accepted", "pads_used", "tally")}
+
+
+def test_golden_transcript_responses_and_log(tmp_path):
+    log = str(tmp_path / "golden.log")
+    service = bank.BankService(log_path=log, sync=False)
+    service.register_series(GOLDEN_S1)
+    service.register_series(GOLDEN_S2)
+    responses = [(line, service.handle_line(line)) for line, _ in GOLDEN_TRANSCRIPT]
+    direct = service.handle_verify("nope", scheme.TokenReport(2, 5, 4))
+    assert (direct.status, direct.reason) == ("ERROR", "unknown-series")
+    assert series_state(service, "s1") == GOLDEN_S1_STATE
+    service.close()
+    assert responses == GOLDEN_TRANSCRIPT
+    with open(log, encoding="ascii", newline="") as fh:
+        assert fh.read() == GOLDEN_LOG
+
+    recovered = bank.BankService.recover(log, sync=False)
+    assert series_state(recovered, "s1") == GOLDEN_S1_STATE
+    assert recovered.handle_line("VERIFY s2 10 58") == "OK"
+    recovered.close()
+    with open(log, encoding="ascii", newline="") as fh:
+        assert fh.read() == GOLDEN_LOG + "VERIFY s2 10 0958 OK\n"
+
+
+# -- model-based property test ------------------------------------------------------------
+
+MODEL_K = 4  # cap_test = 4 and 16 indices, so budgets run out and pairs collide
+
+
+def model_responses(secret, cap, requests):
+    """What the service must answer, from sets and counters only."""
+    spent, tally, attempts, out = set(), Counter(), 0, []
+    for verb, sid, index, value in requests:
+        if sid != secret.series_id:
+            out.append("ERROR unknown-series")
+        elif verb == "VERIFY":
+            if not (1 <= index <= 1 << MODEL_K and 0 <= value < 1 << MODEL_K):
+                out.append("REJECT bad-value")
+            elif attempts >= cap:
+                out.append("REJECT budget-exhausted")
+            else:
+                attempts += 1
+                fresh = (index, value) not in spent
+                spent.add((index, value))
+                if secret.block(index) != value:
+                    out.append("REJECT bad-value")
+                else:
+                    out.append("OK" if fresh else "REJECT double-spend")
+        elif not 1 <= index <= 1 << MODEL_K:
+            out.append("ERROR bad-index")
+        elif not 0 <= value < 1 << MODEL_K:
+            out.append("ERROR bad-payload")
+        elif (index, secret.block(index)) in spent:
+            out.append("REJECT double-vote" if verb == "VOTE" else "REJECT reused-pad")
+        else:
+            pad = secret.block(index)
+            spent.add((index, pad))
+            if verb == "VOTE":
+                tally[value ^ pad] += 1
+                out.append("OK")
+            else:
+                out.append(f"OK {value ^ pad:x}")
+    return out, dict(tally)
+
+
+MODEL_SECRET = scheme.SecretString.random(MODEL_K, rng_for(31), "m1")
+
+
+def model_request(verb, sid, index, value):
+    """A value of None stands for the true block at ``index`` (0 out of range)."""
+    if value is None:
+        value = MODEL_SECRET.block(index) if 1 <= index <= 1 << MODEL_K else 0
+    return verb, sid, index, value
+
+
+request_strategy = st.builds(
+    model_request,
+    st.sampled_from(["VERIFY", "DECODE", "VOTE"]),
+    st.sampled_from(["m1", "m1", "m1", "other"]),
+    st.integers(min_value=-1, max_value=(1 << MODEL_K) + 1),
+    st.none() | st.integers(min_value=-1, max_value=1 << MODEL_K),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(request_strategy, max_size=40), st.data())
+def test_service_matches_model_and_recovery_is_transparent(requests, data):
+    cap = scheme.SchemeParams.for_k(MODEL_K).cap_test
+    lines = [f"{verb} {sid} {index} {value:x}" for verb, sid, index, value in requests]
+    expected, expected_tally = model_responses(MODEL_SECRET, cap, requests)
+    split = data.draw(st.integers(min_value=0, max_value=len(lines)), label="split")
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = bank.BankService(log_path=os.path.join(tmp, "whole.log"), sync=False)
+        whole.register_series(MODEL_SECRET)
+        assert [whole.handle_line(line) for line in lines] == expected
+        assert whole.tally("m1") == expected_tally
+        whole.close()
+
+        log = os.path.join(tmp, "split.log")
+        first = bank.BankService(log_path=log, sync=False)
+        first.register_series(MODEL_SECRET)
+        responses = [first.handle_line(line) for line in lines[:split]]
+        first.close()
+        second = bank.BankService.recover(log, sync=False)
+        responses += [second.handle_line(line) for line in lines[split:]]
+        second.close()
+        assert responses == expected
+        with open(log, encoding="ascii") as a, open(os.path.join(tmp, "whole.log")) as b:
+            assert a.read() == b.read()

@@ -44,3 +44,12 @@ def test_mint_then_recover_log(tmp_path, capsys):
     response = service.handle_line(verify_lines[0])
     assert response == "OK"
     service.close()
+
+
+def test_run_command_stderr_metrics_are_plain_floats(tmp_path, capsys):
+    code = cli.main(["run", "inequality-suite", "--trials", "20", "--out",
+                     str(tmp_path / "suite.csv")])
+    assert code == 1  # the projection_chain_violation row is red by design
+    err = capsys.readouterr().err
+    assert "projection_chain_violation: estimate=" in err
+    assert "np.float64" not in err

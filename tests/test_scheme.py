@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import refsim
 from qtoken import core, scheme, stats
 
 
@@ -53,6 +54,25 @@ def test_secret_hex_roundtrip():
     secret = scheme.SecretString.random(4, rng_for(2), "abc")
     back = scheme.SecretString.from_hex(4, secret.to_hex(), "abc")
     assert back.bits() == secret.bits()
+
+
+def test_secret_hex_roundtrip_at_k20():
+    """2^20 blocks of 20 bits: a codec quadratic in the secret length would
+    take minutes here."""
+    secret = scheme.SecretString.random(20, rng_for(2), "big")
+    text = secret.to_hex()
+    assert len(text) == 20 * 2**20 // 4
+    assert text[:5] == format(secret.block(1), "05x")
+    back = scheme.SecretString.from_hex(20, text, "big")
+    assert np.array_equal(back._blocks, secret._blocks)
+
+
+def test_secret_hex_length_and_width_checks():
+    with pytest.raises(ValueError):
+        scheme.SecretString.from_hex(8, "abc")
+    with pytest.raises(ValueError):
+        scheme.SecretString(3, [1, 2, 3]).to_hex()
+    assert scheme.SecretString.from_hex(4, "0f").bits() == "00001111"
 
 
 def test_secret_block_bounds():
@@ -164,7 +184,7 @@ def test_report_on_basis_state_token():
 def test_report_emulated_accepted_at_large_k():
     secret = scheme.LazySecret(16, rng_for(12))
     rep = scheme.report_emulated(secret, rng_for(13))
-    assert scheme.test(secret, scheme.VerificationHistory(), rep)
+    assert scheme.test(scheme.Ledger(secret), rep)
 
 
 def test_report_emulated_deterministic_for_fixed_seed():
@@ -187,7 +207,7 @@ def test_report_emulated_matches_report_distribution():
     for _ in range(trials):
         counts_q[scheme.report(token, rng).index - 1] += 1
         counts_e[scheme.report_emulated(secret, rng).index - 1] += 1
-    stat, dof = stats.chi_squared_two_sample(counts_q, counts_e)
+    stat, dof = refsim.chi_squared_two_sample(counts_q, counts_e)
     assert stat <= stats.chi2_critical(dof, 0.001)
 
 
@@ -196,21 +216,21 @@ def test_report_emulated_matches_report_distribution():
 
 def test_test_accepts_fresh_matching_pair():
     secret = scheme.SecretString(4, list(range(16)))
-    history = scheme.VerificationHistory()
+    ledger = scheme.Ledger(secret)
     rep = scheme.TokenReport(3, secret.block(3), 4)
-    assert scheme.test(secret, history, rep)
-    assert scheme.test(secret, history, rep)  # referentially transparent
-    assert len(history) == 0  # never mutates the history
+    assert scheme.test(ledger, rep)
+    assert scheme.test(ledger, rep)  # referentially transparent
+    assert ledger.attempts == 0 and not ledger.spent  # never mutates the ledger
 
 
 def test_test_rejects_duplicates_and_mismatches():
     secret = scheme.SecretString(4, list(range(16)))
-    history = scheme.VerificationHistory()
+    ledger = scheme.Ledger(secret)
     rep = scheme.TokenReport(3, secret.block(3), 4)
-    history.append(rep)
-    assert not scheme.test(secret, history, rep)
+    ledger.record(rep.index, rep.value)
+    assert not scheme.test(ledger, rep)
     bad = scheme.TokenReport(3, secret.block(3) ^ 1, 4)
-    assert not scheme.test(secret, scheme.VerificationHistory(), bad)
+    assert not scheme.test(scheme.Ledger(secret), bad)
 
 
 def test_test_classical():
@@ -256,11 +276,11 @@ def test_btest_accept_count_bounded_by_distinct_valid_pairs():
 def test_monotone_rejection():
     secret = scheme.SecretString(4, list(range(16)))
     rep = scheme.TokenReport(5, secret.block(5), 4)
-    history = scheme.VerificationHistory()
-    history.append(rep)
+    ledger = scheme.Ledger(secret)
+    ledger.record(rep.index, rep.value)
     for _ in range(3):
-        assert not scheme.test(secret, history, rep)
-        history.append(rep)
+        assert not scheme.test(ledger, rep)
+        ledger.record(rep.index, rep.value)
 
 
 # -- honest correctness against adversarial histories ---------------------------------
@@ -282,13 +302,13 @@ def test_same_series_history_rejection_rate():
     secret = scheme.SecretString.random(k, rng)
     token = scheme.token_state(secret)
     indices = [int(i) + 1 for i in rng.permutation(1 << k)[:j]]
-    history = scheme.VerificationHistory()
+    ledger = scheme.Ledger(secret)
     for i in indices:
-        history.append(scheme.TokenReport(i, secret.block(i), k))
+        ledger.record(i, secret.block(i))
     expected = same_series_rejection_exact(secret, set(indices), k)
     assert expected == j / 2**k < scheme.SchemeParams.for_k(k).eps_l
     rejected = sum(
-        not scheme.test(secret, history, scheme.report(token, rng))
+        not scheme.test(ledger, scheme.report(token, rng))
         for _ in range(trials)
     )
     assert abs(rejected / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
