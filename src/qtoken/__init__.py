@@ -13,7 +13,6 @@ from .core import (
     RegisterLayout,
     SparseState,
     SwapOutcome,
-    fidelity,
     inner_product,
     measure_register,
     random_state,
@@ -26,7 +25,6 @@ from .core import (
     trace_distance_advantage,
 )
 from .scheme import (
-    ClassicalParams,
     LazySecret,
     Ledger,
     SchemeParams,
@@ -34,10 +32,8 @@ from .scheme import (
     TokenReport,
     btest,
     mint,
-    mint_classical,
     report,
     report_emulated,
-    test_classical,
     token_state,
 )
 from .audit import AuditOutcome, ChainAudit, anonymity_gap, report_chain, report_prime

@@ -60,7 +60,7 @@ def run_forgery(
     round is a win when more reports are accepted than tokens were measured.
     """
     k = secret.k
-    num_indices = secret.num_blocks
+    num_indices = 1 << k
     measured = [report_emulated(secret, rng) for _ in range(strategy.measured)]
     used = {r.index for r in measured}
     submissions: list[TokenReport] = list(measured)
@@ -139,8 +139,6 @@ def mint_loaded(secret: SecretString) -> tuple[SparseState, RegisterLayout]:
     stays perfectly correlated with the index the user will report.
     """
     k = secret.k
-    if secret.num_blocks != 1 << k:
-        raise ValueError("loaded minting needs a secret with 2^k blocks")
     amp = 2.0 ** (-k / 2)
     amps = {}
     for i in range(1 << k):
@@ -163,8 +161,6 @@ def mint_permutation_paired(
     """
     k = secret.k
     size = 1 << k
-    if secret.num_blocks != size:
-        raise ValueError("paired minting needs a secret with 2^k blocks")
     arr = np.asarray(perm, dtype=np.int64)
     if arr.shape != (size,) or sorted(int(v) for v in arr) != list(range(size)):
         raise ValueError("perm must be a permutation of [0, 2^k)")
@@ -179,25 +175,3 @@ def mint_permutation_paired(
     layout = RegisterLayout([("token1", n), ("token2", n)])
     return SparseState(2 * n, amps), layout
 
-
-def loaded_trace_check(bank_index: int, message: TokenReport) -> bool:
-    """Loaded bank's per-message test: does its measured register match I?"""
-    return bank_index == message.index - 1
-
-
-def permutation_pair_hits(
-    perm: Sequence[int] | np.ndarray, history: Sequence[TokenReport]
-) -> list[tuple[int, int]]:
-    """Index pairs (i, perm[i]) whose reports both appear in the history.
-
-    Each hit is what the paired bank reads as "these two verifications came
-    from the traced client"; with an honest history, hits are false alarms.
-    """
-    arr = np.asarray(perm, dtype=np.int64)
-    seen = {r.index - 1 for r in history}
-    hits = []
-    for i in sorted(seen):
-        j = int(arr[i])
-        if j in seen and j != i:
-            hits.append((i, j))
-    return hits

@@ -12,8 +12,8 @@ Recovery replays the log through the same decision logic and refuses to
 start if any replayed decision disagrees with what was logged, which is how
 log corruption is detected.
 
-Wire protocol (one request per line, whitespace-separated fields, binary
-payloads hex-encoded lowercase):
+Wire protocol (one ASCII request per line, whitespace-separated fields,
+binary payloads hex-encoded lowercase):
 
     VERIFY <series> <I> <R_hex>   ->  OK | REJECT <reason> | ERROR <reason>
     DECODE <series> <I> <C_hex>   ->  OK <M_hex> | REJECT <reason> | ERROR <reason>
@@ -128,6 +128,8 @@ class BankService:
         return sid
 
     def _register(self, secret: SecretString, sid: str) -> None:
+        if not sid.isascii() or sid.split() != [sid]:
+            raise ValueError(f"series id {sid!r} must be nonempty ASCII with no whitespace")
         if sid in self._series:
             raise ValueError(f"series {sid!r} already registered")
         cap = SchemeParams.for_k(secret.k).cap_test
@@ -224,7 +226,7 @@ class BankService:
 
     def handle_line(self, line: str) -> str:
         parts = line.split()
-        if len(parts) != 4:
+        if len(parts) != 4 or not line.isascii():
             return "ERROR bad-request"
         verb, series_id, index_s, payload_hex = parts
         try:

@@ -98,8 +98,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_mint(args) -> int:
-    if args.k % 4 != 0:
-        print("k must be a multiple of 4", file=sys.stderr)
+    try:
+        scheme.SchemeParams.for_k(args.k)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     service = BankService.recover(args.log)
     rng = stats.spawn_rng(args.seed)

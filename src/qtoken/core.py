@@ -223,10 +223,6 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
     return complex(acc)
 
 
-def fidelity(a: SparseState, b: SparseState) -> float:
-    return abs(inner_product(a, b)) ** 2
-
-
 def measure_register(
     state: SparseState,
     layout: RegisterLayout,

@@ -1,18 +1,16 @@
-"""Single-use token schemes with classical verification.
+"""The quantum token scheme with classical verification.
 
-Two constructions live here. The classical one slices the bank's secret into
-k-bit blocks and hands each block out as a token; it is unforgeable but every
-token is unique, so the bank can trace redemptions back to users. The quantum
-one mints a series of *identical* 2k-qubit states
+The bank's secret S is a table of 2^k blocks of k bits; ``SecretString``
+holds exactly that shape. The bank mints a series of *identical* 2k-qubit
+states
 
     sum over i in [2^k] of |i-1> |block_i(S)| / 2^(k/2)
 
-where block_i(S) is the i-th k-bit block of the secret S. Redeeming a token
-means measuring it in the computational basis, which yields a classical pair
-(I, R) with R equal to the I-th block; the bank accepts a report when the
-block matches and the exact pair has not been submitted before. Identical
-tokens cannot be traced, and measurement statistics keep double spending and
-forgery in check.
+Redeeming a token means measuring it in the computational basis, which yields
+a classical pair (I, R) with R equal to the I-th block; the bank accepts a
+report when the block matches and the exact pair has not been submitted
+before. Identical tokens cannot be traced, and measurement statistics keep
+double spending and forgery in check.
 
 Parameters for security parameter k (with 4 | k):
 
@@ -30,7 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,40 +68,12 @@ class SchemeParams:
         )
 
 
-@dataclass(frozen=True)
-class ClassicalParams:
-    """Parameter bundle for the classical block-voucher scheme."""
-
-    k: int
-    m: int
-    cap_mint: int
-    cap_test: int
-    t: int
-    eps_l: float
-    eps_f: float
-
-    @classmethod
-    def for_k(cls, k: int) -> ClassicalParams:
-        if k < 4 or k % 4 != 0:
-            raise ValueError("security parameter k must be a positive multiple of 4")
-        cap_mint = 2 ** (k // 4)
-        return cls(
-            k=k,
-            m=k * cap_mint,
-            cap_mint=cap_mint,
-            cap_test=2 ** (k // 2),
-            t=k,
-            eps_l=2.0 ** (-k / 2),
-            eps_f=2.0 ** (-k / 4),
-        )
-
-
 class SecretString:
-    """The bank's secret for one series, viewed as its k-bit block table.
+    """The bank's secret for one series, viewed as its table of 2^k k-bit blocks.
 
     Block i (1-based) is the substring of the secret at bit offsets
-    [k*(i-1), k*i); the quantum scheme uses 2^k blocks, the classical one
-    2^(k/4). Hex serialization packs the blocks back into the flat bit string.
+    [k*(i-1), k*i). Hex serialization packs the blocks back into the flat
+    bit string of k * 2^k bits.
     """
 
     __slots__ = ("k", "series_id", "_blocks")
@@ -112,39 +82,17 @@ class SecretString:
         if k < 1:
             raise ValueError("k must be positive")
         arr = np.asarray(blocks, dtype=np.uint64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("blocks must be a nonempty 1-d sequence")
-        if arr.size and int(arr.max()) >= 1 << k:
+        if arr.shape != (1 << k,):
+            raise ValueError(f"a secret for k={k} must be a 1-d table of 2^{k} blocks")
+        if int(arr.max()) >= 1 << k:
             raise ValueError(f"block value out of range for k={k}")
         self.k = k
         self.series_id = series_id
         self._blocks = arr
 
     @classmethod
-    def random(
-        cls,
-        k: int,
-        rng: np.random.Generator,
-        series_id: str = "s0",
-        num_blocks: int | None = None,
-    ) -> SecretString:
-        count = 2**k if num_blocks is None else num_blocks
-        blocks = rng.integers(0, 1 << k, size=count, dtype=np.uint64)
-        return cls(k, blocks, series_id)
-
-    @classmethod
-    def random_classical(
-        cls, k: int, rng: np.random.Generator, series_id: str = "s0"
-    ) -> SecretString:
-        return cls.random(k, rng, series_id, num_blocks=2 ** (k // 4))
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self._blocks.size)
-
-    @property
-    def bit_length(self) -> int:
-        return self.k * self.num_blocks
+    def random(cls, k: int, rng: np.random.Generator, series_id: str = "s0") -> SecretString:
+        return cls(k, rng.integers(0, 1 << k, size=1 << k, dtype=np.uint64), series_id)
 
     def block(self, index: int) -> int:
         """Value of block ``index`` (1-based)."""
@@ -156,15 +104,16 @@ class SecretString:
         return "".join(format(int(b), f"0{self.k}b") for b in self._blocks)
 
     def to_hex(self) -> str:
-        if self.bit_length % 4 != 0:
+        bit_length = self.k << self.k
+        if bit_length % 4 != 0:
             raise ValueError("secret bit length is not a multiple of 4")
-        return format(int(self.bits(), 2), f"0{self.bit_length // 4}x")
+        return format(int(self.bits(), 2), f"0{bit_length // 4}x")
 
     @classmethod
     def from_hex(cls, k: int, hex_string: str, series_id: str = "s0") -> SecretString:
         bit_length = len(hex_string) * 4
-        if bit_length % k != 0:
-            raise ValueError("hex length does not hold a whole number of blocks")
+        if k < 1 or bit_length != k << k:
+            raise ValueError(f"hex length does not hold 2^k blocks of k={k} bits")
         # int() also takes a sign or a 0x prefix; keep exactly bit_length low bits.
         value = int(hex_string, 16) & ((1 << bit_length) - 1)
         bits = format(value, f"0{bit_length}b")
@@ -179,19 +128,17 @@ class LazySecret:
     k = 16 do not pay for 2^16 blocks per trial.
     """
 
-    __slots__ = ("k", "series_id", "num_blocks", "_cache", "_rng", "_buf", "_pos")
+    __slots__ = ("k", "_cache", "_rng", "_buf", "_pos")
 
-    def __init__(self, k: int, rng: np.random.Generator, series_id: str = "s0"):
+    def __init__(self, k: int, rng: np.random.Generator):
         self.k = k
-        self.series_id = series_id
-        self.num_blocks = 2**k
         self._cache: dict[int, int] = {}
         self._rng = rng
         self._buf = rng.integers(0, 1 << k, size=64, dtype=np.uint64)
         self._pos = 0
 
     def block(self, index: int) -> int:
-        if not 1 <= index <= self.num_blocks:
+        if not 1 <= index <= 1 << self.k:
             raise ValueError(f"block index {index} out of range")
         value = self._cache.get(index)
         if value is None:
@@ -304,8 +251,6 @@ def _token_layout(k: int) -> RegisterLayout:
 def token_state(secret: SecretString) -> SparseState:
     """The series' single token state: uniform over (i-1, block_i) pairs."""
     k = secret.k
-    if secret.num_blocks != 1 << k:
-        raise ValueError("quantum tokens need a secret with 2^k blocks")
     amp = 2.0 ** (-k / 2)
     amps = {
         (i << k) | secret.block(i + 1): amp
@@ -334,11 +279,6 @@ def mint(secret: SecretString, count: int) -> list[SparseState]:
     return [SparseState(proto.num_qubits, dict(proto.amplitudes)) for _ in range(count)]
 
 
-def mint_classical(secret: SecretString) -> list[str]:
-    """Classical minting: the consecutive k-bit blocks of the secret."""
-    return [format(secret.block(i + 1), f"0{secret.k}b") for i in range(secret.num_blocks)]
-
-
 def report(token: SparseState, rng: np.random.Generator) -> TokenReport:
     """Measure a token in the computational basis and parse the (I, R) pair."""
     if token.num_qubits % 2 != 0:
@@ -350,7 +290,7 @@ def report(token: SparseState, rng: np.random.Generator) -> TokenReport:
 
 def report_emulated(secret, rng: np.random.Generator) -> TokenReport:
     """Sample the honest report distribution directly: uniform I, R = block_I."""
-    index = int(rng.integers(0, secret.num_blocks)) + 1
+    index = int(rng.integers(0, 1 << secret.k)) + 1
     return TokenReport(index, secret.block(index), secret.k)
 
 
@@ -362,12 +302,6 @@ def test(ledger: Ledger, report: TokenReport) -> bool:
     if report.k != ledger.k:
         raise ValueError("report and secret have different k")
     return ledger.check(report.index, report.value) is None
-
-
-def test_classical(secret: SecretString, history: Iterable[str], value: str) -> bool:
-    """Classical verification: value is a minted block and not already spent."""
-    minted = set(mint_classical(secret))
-    return value in minted and value not in set(history)
 
 
 def btest(secret, reports: Sequence[TokenReport], cap: int | None = None) -> str:

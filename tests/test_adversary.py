@@ -139,7 +139,6 @@ def test_loaded_token_index_correlation():
         rep = scheme.TokenReport.from_wire(k, int(bits, 2))
         bank_bits, _ = core.measure_register(post, layout, "bank", rng)
         assert int(bank_bits, 2) == rep.index - 1
-        assert adversary.loaded_trace_check(int(bank_bits, 2), rep)
 
 
 def test_loaded_bank_flags_unrelated_user_rarely():
@@ -155,7 +154,7 @@ def test_loaded_bank_flags_unrelated_user_rarely():
         _, post = core.measure_register(state, layout, "token", rng)
         bank_bits, _ = core.measure_register(post, layout, "bank", rng)
         other = scheme.report(honest, rng)
-        flagged += adversary.loaded_trace_check(int(bank_bits, 2), other)
+        flagged += int(bank_bits, 2) == other.index - 1
     p = 2.0**-k
     assert abs(flagged / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
@@ -221,41 +220,3 @@ def test_paired_marginal_message_distribution_is_honest():
         counts[(int(bits, 2) >> k)] += 1
     _, _, ok = stats.uniformity_passes(counts, significance=0.001)
     assert ok
-
-
-def test_paired_bank_detects_its_pair_and_rarely_false_flags():
-    """The traced client's two verifications always light up the (i, perm[i])
-    pair. With few unrelated verifications (cube root of the index space),
-    false pairs stay within the union bound j*(j-1)/2^k."""
-    k = 8
-    size = 1 << k
-    rng = rng_for(17)
-    perm = rng.permutation(size)
-    # Guaranteed detection of the traced pair itself.
-    for i in range(0, size, 37):
-        if int(perm[i]) == i:
-            continue
-        history = [
-            scheme.TokenReport(i + 1, 0, k),
-            scheme.TokenReport(int(perm[i]) + 1, 0, k),
-        ]
-        assert (i, int(perm[i])) in adversary.permutation_pair_hits(perm, history)
-
-    j = round(size ** (1 / 3))  # o(sqrt(size)) regime
-    trials = 3000
-    false_flags = 0
-    for _ in range(trials):
-        indices = rng.integers(0, size, size=j)
-        history = [scheme.TokenReport(int(i) + 1, 0, k) for i in indices]
-        false_flags += bool(adversary.permutation_pair_hits(perm, history))
-    union_bound = j * (j - 1) / size
-    assert false_flags / trials <= union_bound + 3 * math.sqrt(union_bound / trials)
-
-
-def test_permutation_pair_hits_partner_route():
-    k = 2
-    perm = [1, 0, 3, 2]
-    message = scheme.TokenReport(1, 0, k)  # partner index is perm[0] = 1
-    partner = scheme.TokenReport(2, 3, k)
-    assert adversary.permutation_pair_hits(perm, [partner, message]) == [(0, 1), (1, 0)]
-    assert adversary.permutation_pair_hits(perm, [message]) == []

@@ -174,6 +174,37 @@ def test_wire_protocol_lines():
     assert service.handle_line(f"VERIFY {sid} x yz") == "ERROR bad-request"
 
 
+# Non-ASCII lines: a non-ASCII series id, and a non-ASCII digit that int() reads.
+NON_ASCII_LINES = ("DECODE é 1 0", "VOTE sé 1 0", "VERIFY é 1 00", "VOTE s1 \u0661 0")
+
+
+def test_non_ascii_line_is_an_unlogged_bad_request(tmp_path):
+    log = tmp_path / "bank.log"
+    service, _, sid = fresh_service(k=4, seed=12, log_path=str(log))
+    logged = log.read_bytes()
+    for line in NON_ASCII_LINES:
+        assert service.handle_line(line) == "ERROR bad-request"
+    assert log.read_bytes() == logged
+    assert service.series_ids() == [sid]
+    assert service.snapshot(sid) == {"attempts": 0, "accepted": 0, "pads_used": [], "tally": {}}
+    service.close()
+
+
+def test_non_ascii_line_keeps_the_socket_connection(tmp_path):
+    service, secret, sid = fresh_service(k=8, seed=13, log_path=str(tmp_path / "bank.log"))
+    server = bank.BankServer(service, str(tmp_path / "bank.sock"))
+    server.start()
+    try:
+        client = bank.BankClient(server.address)
+        for index, line in enumerate(NON_ASCII_LINES, start=1):
+            assert client.request(line) == "ERROR bad-request"
+            assert client.request(f"DECODE {sid} {index} {secret.block(index):02x}") == "OK 00"
+        client.close()
+    finally:
+        server.stop()
+        service.close()
+
+
 def test_socket_server_roundtrip(tmp_path):
     service, secret, sid = fresh_service(k=8, seed=13)
     server = bank.BankServer(service, str(tmp_path / "bank.sock"))
@@ -325,6 +356,28 @@ def test_malformed_log_line_refused(tmp_path):
     log.write_text("VERIFY s1 1\n")
     with pytest.raises(bank.CorruptLogError):
         bank.BankService.recover(str(log))
+
+
+def test_recovery_refuses_a_secret_that_is_not_2k_blocks(tmp_path):
+    """16 blocks registered at k=8 would leave DECODE c 200 0 with no block."""
+    log = tmp_path / "short.log"
+    short = "".join(f"{b:02x}" for b in range(16))
+    log.write_text(f"SERIES c 8 {short} OK\nDECODE c 200 0 OK:00\n")
+    with pytest.raises(bank.CorruptLogError) as err:
+        bank.BankService.recover(str(log))
+    assert (err.value.line_number, err.value.byte_offset) == (1, 0)
+
+
+@pytest.mark.parametrize("bad_id", ["", "a b", "tab\tid", "é"])
+def test_register_refuses_bad_series_id_before_any_change(tmp_path, bad_id):
+    log = tmp_path / "bank.log"
+    service = bank.BankService(str(log))
+    with pytest.raises(ValueError):
+        service.register_series(scheme.SecretString.random(4, rng_for(0)), bad_id)
+    assert service.series_ids() == []
+    service.close()
+    assert log.read_bytes() == b""
+    assert bank.BankService.recover(str(log)).series_ids() == []
 
 
 # -- concurrency --------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line interface tests."""
 
+import pytest
+
 from qtoken import bank, cli
 
 
@@ -53,3 +55,11 @@ def test_run_command_stderr_metrics_are_plain_floats(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "projection_chain_violation: estimate=" in err
     assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("k", ["0", "-4", "6"])
+def test_mint_refuses_bad_k_before_creating_the_log(tmp_path, capsys, k):
+    log = tmp_path / "bank.log"
+    assert cli.main(["mint", "--log", str(log), "--k", k]) == 2
+    assert "positive multiple of 4" in capsys.readouterr().err
+    assert not log.exists()

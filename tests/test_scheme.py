@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refsim
 from qtoken import core, scheme, stats
@@ -30,12 +32,6 @@ def test_scheme_params_require_multiple_of_four():
     for bad in (0, 2, 6, -4):
         with pytest.raises(ValueError):
             scheme.SchemeParams.for_k(bad)
-
-
-def test_classical_params_formulas():
-    p = scheme.ClassicalParams.for_k(8)
-    assert (p.m, p.cap_mint, p.cap_test, p.t) == (8 * 4, 4, 16, 8)
-    assert p.eps_l == 2.0**-4 and p.eps_f == 2.0**-2
 
 
 # -- secrets ------------------------------------------------------------------------
@@ -71,8 +67,26 @@ def test_secret_hex_length_and_width_checks():
     with pytest.raises(ValueError):
         scheme.SecretString.from_hex(8, "abc")
     with pytest.raises(ValueError):
-        scheme.SecretString(3, [1, 2, 3]).to_hex()
-    assert scheme.SecretString.from_hex(4, "0f").bits() == "00001111"
+        scheme.SecretString(1, [1, 0]).to_hex()  # 2 bits fill no hex digit
+    assert scheme.SecretString.from_hex(2, "0f").bits() == "00001111"
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+def test_secret_is_exactly_a_2k_block_table(k, seed):
+    """A random table round-trips through hex; one block or one hex digit
+    too few or too many is refused."""
+    rng = rng_for(seed)
+    secret = scheme.SecretString.random(k, rng)
+    text = secret.to_hex()
+    assert len(text) * 4 == k * 2**k
+    assert np.array_equal(scheme.SecretString.from_hex(k, text)._blocks, secret._blocks)
+    for count in (2**k - 1, 2**k + 1):
+        with pytest.raises(ValueError):
+            scheme.SecretString(k, rng.integers(0, 1 << k, size=count, dtype=np.uint64))
+    for bad in (text[:-1], text + "0"):
+        with pytest.raises(ValueError):
+            scheme.SecretString.from_hex(k, bad)
 
 
 def test_secret_block_bounds():
@@ -140,20 +154,6 @@ def test_all_zero_secret_reports_zero_value():
     rng = rng_for(7)
     for _ in range(50):
         assert scheme.report(token, rng).value == 0
-
-
-def test_mint_classical_blocks():
-    k = 4
-    secret = scheme.SecretString(k, [0b0000, 0b1111, 0b0101, 0b0011], "cla")
-    tokens = scheme.mint_classical(secret)
-    assert tokens[:2] == ["0000", "1111"]
-    assert len(tokens) == secret.num_blocks
-
-
-def test_classical_token_count_matches_params():
-    k = 8
-    secret = scheme.SecretString.random_classical(k, rng_for(8))
-    assert len(scheme.mint_classical(secret)) == scheme.ClassicalParams.for_k(k).cap_mint
 
 
 # -- report distribution ---------------------------------------------------------------
@@ -233,14 +233,6 @@ def test_test_rejects_duplicates_and_mismatches():
     assert not scheme.test(scheme.Ledger(secret), bad)
 
 
-def test_test_classical():
-    secret = scheme.SecretString(4, [0b0000, 0b1111, 0b0101, 0b0011], "cla")
-    first = scheme.mint_classical(secret)[0]
-    assert scheme.test_classical(secret, [], first)
-    assert not scheme.test_classical(secret, [first], first)
-    assert not scheme.test_classical(secret, [], "1000")
-
-
 def test_btest_examples():
     secret = scheme.SecretString(4, list(range(16)))
     fresh = [scheme.TokenReport(i, secret.block(i), 4) for i in (1, 2, 3)]
@@ -311,25 +303,6 @@ def test_same_series_history_rejection_rate():
         not scheme.test(ledger, scheme.report(token, rng))
         for _ in range(trials)
     )
-    assert abs(rejected / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
-
-
-def test_classical_honest_correctness():
-    """A fresh classical token is rejected only when its value already sits
-    in the history, which for value-independent histories happens with
-    probability j/2^k < eps_l."""
-    k = 4
-    j = 3
-    trials = 20_000
-    rng = rng_for(22)
-    rejected = 0
-    for _ in range(trials):
-        secret = scheme.SecretString.random_classical(k, rng)
-        history = [format(int(v), f"0{k}b") for v in rng.permutation(1 << k)[:j]]
-        token = scheme.mint_classical(secret)[0]
-        rejected += not scheme.test_classical(secret, history, token)
-    expected = j / 2**k
-    assert expected < scheme.ClassicalParams.for_k(k).eps_l
     assert abs(rejected / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
 
 
