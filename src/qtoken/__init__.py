@@ -25,7 +25,6 @@ from .core import (
     trace_distance_advantage,
 )
 from .scheme import (
-    LazySecret,
     Ledger,
     SchemeParams,
     SecretString,

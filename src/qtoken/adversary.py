@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import RegisterLayout, SparseState
-from .scheme import SecretString, TokenReport, btest, report_emulated
+from .scheme import SecretString, btest, report_emulated
 
 FORGER_POLICIES = ("uniform-fresh-index", "replay", "block-collision")
 
@@ -50,7 +50,7 @@ class ForgerStrategy:
 
 
 def run_forgery(
-    secret, strategy: ForgerStrategy, rng: np.random.Generator
+    secret: SecretString, strategy: ForgerStrategy, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Play one forgery round; returns (accepted, submitted).
 
@@ -59,50 +59,25 @@ def run_forgery(
     and runs the whole batch through the bank's sequential verification. The
     round is a win when more reports are accepted than tokens were measured.
     """
-    k = secret.k
-    num_indices = 1 << k
-    measured = [report_emulated(secret, rng) for _ in range(strategy.measured)]
-    used = {r.index for r in measured}
-    submissions: list[TokenReport] = list(measured)
-
+    q = strategy.measured
+    indices, values = report_emulated(secret, rng, q)
+    extra = strategy.guess_budget - q
     if strategy.policy == "replay":
-        for r in measured:
-            if len(submissions) >= strategy.guess_budget:
-                break
-            submissions.append(r)
-    else:
-        remaining = strategy.guess_budget - len(submissions)
-        if remaining > 0:
-            indices = _fresh_indices(rng, num_indices, remaining, used)
-            if strategy.policy == "uniform-fresh-index":
-                values = rng.integers(0, 1 << k, size=remaining, dtype=np.uint64)
-                for idx, val in zip(indices, values):
-                    submissions.append(TokenReport(idx, int(val), k))
-            else:  # block-collision: bet that another block repeats a seen value
-                for pos, idx in enumerate(indices):
-                    val = measured[pos % len(measured)].value
-                    submissions.append(TokenReport(idx, val, k))
-
-    accepted = btest(secret, submissions).count("1")
-    return accepted, len(submissions)
-
-
-def _fresh_indices(rng, num_indices: int, count: int, used: set[int]) -> list[int]:
-    """Distinct 1-based indices avoiding ``used`` (rejection sampling)."""
-    if count > num_indices - len(used):
-        raise ValueError("not enough fresh indices available")
-    out: list[int] = []
-    taken = set(used)
-    while len(out) < count:
-        draw = rng.integers(0, num_indices, size=count - len(out))
-        for v in draw:
-            idx = int(v) + 1
-            if idx not in taken:
-                taken.add(idx)
-                out.append(idx)
-                if len(out) == count:
-                    break
-    return out
+        indices = np.concatenate([indices, indices[:extra]])
+        values = np.concatenate([values, values[:extra]])
+    elif extra > 0:
+        # Distinct uniform indices minus the (at most q) measured ones are
+        # uniform over the unmeasured indices, and at least ``extra`` remain.
+        fresh = rng.choice(1 << secret.k, extra + q, replace=False) + 1
+        fresh = fresh[~np.isin(fresh, indices)][:extra]
+        if strategy.policy == "uniform-fresh-index":
+            guesses = rng.integers(0, 1 << secret.k, size=extra, dtype=np.uint64)
+        else:  # block-collision: bet that another block repeats a seen value
+            guesses = values[np.arange(extra) % q]
+        indices = np.concatenate([indices, fresh])
+        values = np.concatenate([values, guesses])
+    accepted = btest(secret, indices, values).count("1")
+    return accepted, len(indices)
 
 
 def eval_forgery_bound(n_reports: int, q: int, y_size: int, constant: int = 5) -> float:

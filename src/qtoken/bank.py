@@ -7,7 +7,8 @@ submitted for verification or consumed as a pad, it can never authorize
 anything again.
 
 Durability comes from an append-only log with one record per request,
-written (and optionally fsynced) before the response leaves the service.
+written (and optionally fsynced) before the decision changes any state and
+before the response leaves the service.
 Recovery replays the log through the same decision logic and refuses to
 start if any replayed decision disagrees with what was logged, which is how
 log corruption is detected.
@@ -36,11 +37,16 @@ import socketserver
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .scheme import Ledger, SchemeParams, SecretString, TokenReport
 
 # Pad verbs and the rejection each gives for an already spent pair.
 _PAD_REJECTIONS = {"DECODE": "reused-pad", "VOTE": "double-vote"}
+
+
+def _unchanged() -> None:
+    """The change a decision that alters no state applies."""
 
 
 class CorruptLogError(RuntimeError):
@@ -87,7 +93,7 @@ class BankService:
         self._lock = threading.Lock()
         self._series: dict[str, SeriesRecord] = {}
         self._sync = sync
-        self._log = open(log_path, "a", encoding="ascii") if log_path else None
+        self._log = open(log_path, "ab", buffering=0) if log_path else None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -97,11 +103,11 @@ class BankService:
         service = cls(sync=sync)
         if os.path.exists(log_path):
             offset = 0
-            with open(log_path, "r", encoding="ascii") as fh:
+            with open(log_path, "rb") as fh:
                 for line_no, raw in enumerate(fh, start=1):
                     service._replay(raw, line_no, offset)
-                    offset += len(raw.encode("ascii"))
-        service._log = open(log_path, "a", encoding="ascii")
+                    offset += len(raw)
+        service._log = open(log_path, "ab", buffering=0)
         return service
 
     def close(self) -> None:
@@ -110,30 +116,43 @@ class BankService:
             self._log = None
 
     def _append_log(self, verb: str, series_id: str, index, payload: str, decision: Decision):
+        """Write one record (fsynced if ``sync``), or cut the log back and raise."""
         if self._log is None:
             return
-        self._log.write(f"{verb} {series_id} {index} {payload} {decision.text(':')}\n")
-        self._log.flush()
-        if self._sync:
-            os.fsync(self._log.fileno())
+        record = f"{verb} {series_id} {index} {payload} {decision.text(':')}\n".encode("ascii")
+        start = self._log.seek(0, os.SEEK_END)  # after a cut-back the position is past the end
+        try:
+            while record:  # unbuffered writes may be short
+                record = record[self._log.write(record):]
+            if self._sync:
+                os.fsync(self._log.fileno())
+        except BaseException:
+            self._log.truncate(start)
+            raise
 
     # -- series management --------------------------------------------------
 
     def register_series(self, secret: SecretString, series_id: str | None = None) -> str:
         sid = series_id if series_id is not None else secret.series_id
         with self._lock:
-            self._register(secret, sid)
+            insert = self._register(secret, sid)
             if self._log is not None:  # spares the hex encoding when nothing is logged
                 self._append_log("SERIES", sid, secret.k, secret.to_hex(), Decision("OK"))
+            insert()
         return sid
 
-    def _register(self, secret: SecretString, sid: str) -> None:
+    def _register(self, secret: SecretString, sid: str) -> Callable[[], None]:
+        """Check a new series; returns the change that adds it, run once it is logged."""
         if not sid.isascii() or sid.split() != [sid]:
             raise ValueError(f"series id {sid!r} must be nonempty ASCII with no whitespace")
         if sid in self._series:
             raise ValueError(f"series {sid!r} already registered")
         cap = SchemeParams.for_k(secret.k).cap_test
-        self._series[sid] = SeriesRecord(Ledger(secret, cap))
+
+        def insert():
+            self._series[sid] = SeriesRecord(Ledger(secret, cap))
+
+        return insert
 
     def series_ids(self) -> list[str]:
         with self._lock:
@@ -160,52 +179,66 @@ class BankService:
 
     # -- decisions -------------------------------------------------------------
 
-    def _decide(self, verb: str, rec: SeriesRecord | None, index: int, value: int) -> Decision:
-        """Apply one request to its series; callers hold the lock.
+    def _decide(
+        self, verb: str, rec: SeriesRecord | None, index: int, value: int
+    ) -> tuple[Decision, Callable[[], None]]:
+        """Decide one request without changing any state; callers hold the lock.
 
-        ``value`` is the report's wire form for VERIFY and the ciphertext for
-        DECODE and VOTE. A VERIFY wire that disagrees with ``index`` can only
-        come from a damaged log and raises ``ValueError``.
+        Returns the decision and the change that applies it, which callers run
+        only once the decision is logged. ``value`` is the report's wire form
+        for VERIFY and the ciphertext for DECODE and VOTE. A VERIFY wire that
+        disagrees with ``index`` can only come from a damaged log and raises
+        ``ValueError``.
         """
         if verb != "VERIFY" and verb not in _PAD_REJECTIONS:
             raise ValueError(f"unknown verb {verb!r}")
         if rec is None:
-            return Decision("ERROR", "unknown-series")
+            return Decision("ERROR", "unknown-series"), _unchanged
         ledger, k = rec.ledger, rec.ledger.k
         if verb == "VERIFY":
             if not 0 <= value < 1 << (2 * k) or (value >> k) + 1 != index:
                 raise ValueError("index does not match serialized report")
-            reason = ledger.verify(index, value & ((1 << k) - 1))
-            if reason is not None:
-                return Decision("REJECT", reason)
-            rec.accepted += 1
-            return Decision("OK")
+            block = value & ((1 << k) - 1)
+            reason = ledger.check(index, block)
+
+            def verify():
+                ledger.verify(index, block)
+                rec.accepted += reason is None
+
+            return (Decision("REJECT", reason) if reason else Decision("OK")), verify
         if not 1 <= index <= 1 << k:
-            return Decision("ERROR", "bad-index")
+            return Decision("ERROR", "bad-index"), _unchanged
         if not 0 <= value < 1 << k:
-            return Decision("ERROR", "bad-payload")
-        pad = ledger.spend_pad(index)
+            return Decision("ERROR", "bad-payload"), _unchanged
+        pad = ledger.pad(index)
         if pad is None:
-            return Decision("REJECT", _PAD_REJECTIONS[verb])
+            return Decision("REJECT", _PAD_REJECTIONS[verb]), _unchanged
+
+        def spend():
+            ledger.spend_pad(index)
+            if verb == "VOTE":
+                rec.tally[value ^ pad] += 1
+
         if verb == "VOTE":
-            rec.tally[value ^ pad] += 1
-            return Decision("OK")
-        return Decision("OK", payload=value ^ pad, payload_width=k // 4)
+            return Decision("OK"), spend
+        return Decision("OK", payload=value ^ pad, payload_width=k // 4), spend
 
     def _submit(
         self, verb: str, series_id: str, index: int, value: int, payload: str | None = None
     ) -> Decision:
-        """Decide, log, reply: the one locked sequence behind every logged request.
+        """Decide, log, apply, reply: the one locked sequence behind every logged request.
 
-        ``payload`` is the logged hex field; DECODE and VOTE leave it to the
-        series' pad width (one digit for an unknown series).
+        A failed log write raises before anything changes. ``payload`` is the
+        logged hex field; DECODE and VOTE leave it to the series' pad width
+        (one digit for an unknown series).
         """
         with self._lock:
             rec = self._series.get(series_id)
-            decision = self._decide(verb, rec, index, value)
+            decision, apply = self._decide(verb, rec, index, value)
             if payload is None:
                 payload = f"{value:0{rec.ledger.k // 4 if rec else 1}x}"
             self._append_log(verb, series_id, index, payload, decision)
+            apply()
             return decision
 
     # -- handlers ------------------------------------------------------------
@@ -249,18 +282,20 @@ class BankService:
 
     # -- recovery ---------------------------------------------------------------
 
-    def _replay(self, raw: str, line_no: int, byte_offset: int) -> None:
-        parts = raw.split()
+    def _replay(self, raw: bytes, line_no: int, byte_offset: int) -> None:
+        if not raw.isascii():
+            raise CorruptLogError("non-ASCII log record", line_no, byte_offset)
+        parts = raw.decode("ascii").split()
         if len(parts) != 5:
             raise CorruptLogError("malformed log record", line_no, byte_offset)
         verb, series_id, index_s, payload, logged = parts
         try:
             if verb == "SERIES":
-                self._register(SecretString.from_hex(int(index_s), payload, series_id), series_id)
-                decision = Decision("OK")
+                secret = SecretString.from_hex(int(index_s), payload, series_id)
+                decision, apply = Decision("OK"), self._register(secret, series_id)
             else:
                 rec = self._series.get(series_id)
-                decision = self._decide(verb, rec, int(index_s), int(payload, 16))
+                decision, apply = self._decide(verb, rec, int(index_s), int(payload, 16))
         except Exception as exc:
             raise CorruptLogError(f"unreplayable record: {exc}", line_no, byte_offset)
         if decision.text(":") != logged:
@@ -269,6 +304,7 @@ class BankService:
                 line_no,
                 byte_offset,
             )
+        apply()
 
 
 # -- socket front end ------------------------------------------------------------

@@ -100,6 +100,8 @@ def _cmd_serve(args) -> int:
 def _cmd_mint(args) -> int:
     try:
         scheme.SchemeParams.for_k(args.k)
+        if args.reports < 0:
+            raise ValueError("--reports must not be negative")
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -110,9 +112,8 @@ def _cmd_mint(args) -> int:
     service.register_series(secret)
     print(f"registered series {series_id} (k={args.k}) in {args.log}")
     print("sample honest reports (send as: VERIFY <series> <I> <R_hex>):")
-    for _ in range(args.reports):
-        rep = scheme.report_emulated(secret, rng)
-        print(f"VERIFY {series_id} {rep.index} {format(rep.value, f'0{args.k // 4}x')}")
+    for index, value in zip(*scheme.report_emulated(secret, rng, args.reports)):
+        print(f"VERIFY {series_id} {index} {format(value, f'0{args.k // 4}x')}")
     service.close()
     return 0
 

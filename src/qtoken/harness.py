@@ -296,7 +296,7 @@ def _run_forgery_scenario(spec: ScenarioSpec) -> ExperimentResult:
         wins = 0
         for t in range(trials):
             rng = stats.spawn_rng(seed, ordinals[name], t)
-            secret = scheme.LazySecret(k, rng)
+            secret = scheme.SecretString.random(k, rng)
             accepted, _ = adversary.run_forgery(secret, strat, rng)
             wins += accepted > strat.measured
         bound = adversary.eval_forgery_bound(params.cap_test, strat.measured, 1 << k)

@@ -120,37 +120,6 @@ class SecretString:
         return cls(k, [int(bits[i:i + k], 2) for i in range(0, bit_length, k)], series_id)
 
 
-class LazySecret:
-    """Uniform block table sampled on demand.
-
-    Statistically identical to a fresh ``SecretString.random(k, rng)`` but only
-    materializes the blocks that are actually read, so forgery experiments at
-    k = 16 do not pay for 2^16 blocks per trial.
-    """
-
-    __slots__ = ("k", "_cache", "_rng", "_buf", "_pos")
-
-    def __init__(self, k: int, rng: np.random.Generator):
-        self.k = k
-        self._cache: dict[int, int] = {}
-        self._rng = rng
-        self._buf = rng.integers(0, 1 << k, size=64, dtype=np.uint64)
-        self._pos = 0
-
-    def block(self, index: int) -> int:
-        if not 1 <= index <= 1 << self.k:
-            raise ValueError(f"block index {index} out of range")
-        value = self._cache.get(index)
-        if value is None:
-            if self._pos >= self._buf.size:
-                self._buf = self._rng.integers(0, 1 << self.k, size=256, dtype=np.uint64)
-                self._pos = 0
-            value = int(self._buf[self._pos])
-            self._pos += 1
-            self._cache[index] = value
-        return value
-
-
 @dataclass(frozen=True, slots=True)
 class TokenReport:
     """Classical redemption message: index I in [1, 2^k] and a k-bit value."""
@@ -169,18 +138,10 @@ class TokenReport:
         """The 2k-bit serialized form: big-endian (I-1) followed by R."""
         return ((self.index - 1) << self.k) | self.value
 
-    def bits(self) -> str:
-        return format(self.wire(), f"0{2 * self.k}b")
-
     def to_hex(self) -> str:
         if self.k % 2 != 0:
             raise ValueError("hex form needs k divisible by 2")
         return format(self.wire(), f"0{self.k // 2}x")
-
-    @classmethod
-    def from_hex(cls, k: int, hex_string: str) -> TokenReport:
-        wire = int(hex_string, 16)
-        return cls.from_wire(k, wire)
 
     @classmethod
     def from_wire(cls, k: int, wire: int) -> TokenReport:
@@ -200,7 +161,7 @@ class Ledger:
 
     __slots__ = ("secret", "k", "cap", "attempts", "spent")
 
-    def __init__(self, secret, cap: int | None = None):
+    def __init__(self, secret: SecretString, cap: int | None = None):
         self.secret = secret
         self.k = secret.k
         self.cap = cap
@@ -229,14 +190,14 @@ class Ledger:
             self.record(index, value)
         return reason
 
-    def spend_pad(self, index: int) -> int | None:
-        """Consume the pad block_index(S); None if its pair is already spent."""
+    def pad(self, index: int) -> int | None:
+        """The pad block_index(S), or None if its pair is already spent. Pure."""
         pad = self.secret.block(index)
-        wire = ((index - 1) << self.k) | pad
-        if wire in self.spent:
-            return None
-        self.spent[wire] = True
-        return pad
+        return None if (((index - 1) << self.k) | pad) in self.spent else pad
+
+    def spend_pad(self, index: int) -> None:
+        """Consume the pad block_index(S)."""
+        self.spent[((index - 1) << self.k) | self.secret.block(index)] = True
 
     def pads(self) -> list[int]:
         """Wire forms of the consumed pads, ascending."""
@@ -288,10 +249,15 @@ def report(token: SparseState, rng: np.random.Generator) -> TokenReport:
     return TokenReport.from_wire(k, int(bits, 2))
 
 
-def report_emulated(secret, rng: np.random.Generator) -> TokenReport:
-    """Sample the honest report distribution directly: uniform I, R = block_I."""
-    index = int(rng.integers(0, 1 << secret.k)) + 1
-    return TokenReport(index, secret.block(index), secret.k)
+def report_emulated(
+    secret: SecretString, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``count`` honest reports directly: uniform I, R = block_I.
+
+    Returns the 1-based indices and their block values as two arrays.
+    """
+    indices = rng.integers(0, 1 << secret.k, size=count) + 1
+    return indices, secret._blocks[indices - 1]
 
 
 def test(ledger: Ledger, report: TokenReport) -> bool:
@@ -304,19 +270,15 @@ def test(ledger: Ledger, report: TokenReport) -> bool:
     return ledger.check(report.index, report.value) is None
 
 
-def btest(secret, reports: Sequence[TokenReport], cap: int | None = None) -> str:
-    """Run a batch of reports through one fresh ledger.
+def btest(secret: SecretString, indices, values) -> str:
+    """Run a batch of (index, value) pairs through one fresh ledger.
 
     Every submission is recorded whether or not it is accepted, matching the
     bank's bookkeeping; the result is one acceptance bit per position.
     """
-    if cap is None and secret.k >= 4 and secret.k % 4 == 0:
-        cap = SchemeParams.for_k(secret.k).cap_test
-    if cap is not None and len(reports) > cap:
-        raise ValueError(f"{len(reports)} reports exceed the attempt budget {cap}")
+    cap = SchemeParams.for_k(secret.k).cap_test
+    if len(indices) > cap:
+        raise ValueError(f"{len(indices)} reports exceed the attempt budget {cap}")
     ledger = Ledger(secret, cap)
-    bits = []
-    for r in reports:
-        bits.append("1" if test(ledger, r) else "0")
-        ledger.record(r.index, r.value)
-    return "".join(bits)
+    pairs = zip(np.asarray(indices).tolist(), np.asarray(values).tolist())
+    return "".join("1" if ledger.verify(i, v) is None else "0" for i, v in pairs)

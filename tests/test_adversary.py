@@ -64,7 +64,7 @@ def test_replay_never_wins():
     strat = adversary.ForgerStrategy("replay", measured=1, guess_budget=2, policy="replay")
     rng = rng_for(1)
     for _ in range(300):
-        secret = scheme.LazySecret(8, rng)
+        secret = scheme.SecretString.random(8, rng)
         accepted, submitted = adversary.run_forgery(secret, strat, rng)
         assert submitted == 2
         assert accepted == 1  # the replayed copy is always rejected
@@ -81,7 +81,7 @@ def test_uniform_guess_win_rate_matches_exact_union():
     rng = rng_for(2)
     wins = 0
     for _ in range(trials):
-        secret = scheme.LazySecret(k, rng)
+        secret = scheme.SecretString.random(k, rng)
         accepted, _ = adversary.run_forgery(secret, strat, rng)
         wins += accepted > 0
     assert abs(wins / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
@@ -92,7 +92,7 @@ def test_measured_tokens_always_accepted():
     strat = adversary.ForgerStrategy("mg", measured=2, guess_budget=16)
     rng = rng_for(3)
     for _ in range(200):
-        secret = scheme.LazySecret(k, rng)
+        secret = scheme.SecretString.random(k, rng)
         accepted, submitted = adversary.run_forgery(secret, strat, rng)
         assert submitted == 16
         # Measured pairs are valid; they can only collide with each other.
@@ -110,19 +110,24 @@ def test_block_collision_policy_respects_bound():
     rng = rng_for(4)
     wins = 0
     for _ in range(trials):
-        secret = scheme.LazySecret(k, rng)
+        secret = scheme.SecretString.random(k, rng)
         accepted, _ = adversary.run_forgery(secret, strat, rng)
         wins += accepted > 1
     p_hat = wins / trials
     assert p_hat <= bound + 3 * math.sqrt(max(p_hat, 1 / trials) * (1 - p_hat) / trials)
 
 
-def test_fresh_indices_are_distinct_and_fresh():
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_block_collision_guesses_use_distinct_unmeasured_indices(k):
+    """On an all-zero secret every guess carries a valid value, so the whole
+    budget is accepted exactly when no guess repeats an index or reuses the
+    measured one."""
+    cap = scheme.SchemeParams.for_k(k).cap_test
+    strat = adversary.ForgerStrategy("bc", measured=1, guess_budget=cap, policy="block-collision")
+    secret = scheme.SecretString(k, np.zeros(1 << k, dtype=np.uint64))
     rng = rng_for(5)
-    used = {1, 2, 3}
-    out = adversary._fresh_indices(rng, 16, 10, used)
-    assert len(set(out)) == 10
-    assert not set(out) & used
+    for _ in range(20):
+        assert adversary.run_forgery(secret, strat, rng) == (cap, cap)
 
 
 # -- tracking banks ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Bank service tests: verification, pads, votes, persistence, wire protocol."""
 
+import errno
 import os
 import tempfile
 import threading
@@ -368,6 +369,39 @@ def test_recovery_refuses_a_secret_that_is_not_2k_blocks(tmp_path):
     assert (err.value.line_number, err.value.byte_offset) == (1, 0)
 
 
+def test_failed_log_writes_in_a_row_leave_the_log_as_it_was(tmp_path):
+    """Each failed write cuts its half record back off, including when the
+    previous write failed too."""
+    log = tmp_path / "full.log"
+    service, secret, sid = fresh_service(log_path=str(log), sync=False)
+    before = log.read_bytes()
+    write = service._log.write
+
+    def half_then_full(record):
+        write(record[: len(record) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    service._log.write = half_then_full
+    line = f"VERIFY s1 3 {secret.block(3):x}"
+    for _ in range(2):
+        with pytest.raises(OSError):
+            service.handle_line(line)
+        assert log.read_bytes() == before
+    service._log.write = write
+    assert service.handle_line(line) == "OK"
+    service.close()
+    assert bank.BankService.recover(str(log)).snapshot(sid)["accepted"] == 1
+
+
+def test_recovery_refuses_a_non_ascii_record_with_its_offset(tmp_path):
+    log = tmp_path / "utf8.log"
+    first = b"VERIFY nope 1 00 ERROR:unknown-series\n"
+    log.write_bytes(first + "VERIFY sé 1 00 ERROR:unknown-series\n".encode("utf-8"))
+    with pytest.raises(bank.CorruptLogError) as err:
+        bank.BankService.recover(str(log))
+    assert (err.value.line_number, err.value.byte_offset) == (2, len(first))
+
+
 @pytest.mark.parametrize("bad_id", ["", "a b", "tab\tid", "é"])
 def test_register_refuses_bad_series_id_before_any_change(tmp_path, bad_id):
     log = tmp_path / "bank.log"
@@ -618,3 +652,44 @@ def test_service_matches_model_and_recovery_is_transparent(requests, data):
         assert responses == expected
         with open(log, encoding="ascii") as a, open(os.path.join(tmp, "whole.log")) as b:
             assert a.read() == b.read()
+
+        # One log write stores half its record and fails with ENOSPC: the
+        # SERIES record's (crash = -1) or the first logged request's from
+        # request ``crash`` on. The failed call raises and changes nothing, so
+        # every later response is the model's for the stream without it.
+        crash = data.draw(st.integers(min_value=-1, max_value=len(lines) - 1), label="crash")
+        log = os.path.join(tmp, "crash.log")
+        service = bank.BankService(log_path=log, sync=False)
+        write, armed = service._log.write, crash == -1
+
+        def failing_write(record):
+            nonlocal armed
+            if armed:
+                armed = False
+                write(record[: len(record) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(record)
+
+        service._log.write = failing_write
+        if crash == -1:
+            with pytest.raises(OSError):
+                service.register_series(MODEL_SECRET)
+            assert service.series_ids() == []
+        service.register_series(MODEL_SECRET)
+        sent, responses = [], []
+        for j, (line, request) in enumerate(zip(lines, requests)):
+            armed = armed or j == crash
+            try:
+                responses.append(service.handle_line(line))
+            except OSError:
+                continue
+            sent.append(request)
+        assert len(sent) >= len(lines) - 1
+        expected, expected_tally = model_responses(MODEL_SECRET, cap, sent)
+        assert responses == expected
+        assert service.tally("m1") == expected_tally
+        snapshot = service.snapshot("m1")
+        service.close()
+        recovered = bank.BankService.recover(log, sync=False)
+        assert recovered.snapshot("m1") == snapshot
+        recovered.close()

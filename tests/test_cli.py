@@ -38,7 +38,8 @@ def test_mint_then_recover_log(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "registered series demo" in out
     verify_lines = [l for l in out.splitlines() if l.startswith("VERIFY demo")]
-    assert len(verify_lines) == 4
+    pairs = ("105 36", "68 ee", "126 c0", "147 56")
+    assert verify_lines == [f"VERIFY demo {pair}" for pair in pairs]
 
     service = bank.BankService.recover(log)
     assert service.series_ids() == ["demo"]
@@ -62,4 +63,11 @@ def test_mint_refuses_bad_k_before_creating_the_log(tmp_path, capsys, k):
     log = tmp_path / "bank.log"
     assert cli.main(["mint", "--log", str(log), "--k", k]) == 2
     assert "positive multiple of 4" in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_mint_refuses_negative_reports_before_creating_the_log(tmp_path, capsys):
+    log = tmp_path / "bank.log"
+    assert cli.main(["mint", "--log", str(log), "--k", "8", "--reports", "-1"]) == 2
+    assert "--reports" in capsys.readouterr().err
     assert not log.exists()

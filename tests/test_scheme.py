@@ -97,24 +97,15 @@ def test_secret_block_bounds():
         secret.block(17)
 
 
-def test_lazy_secret_is_consistent_and_in_range():
-    lazy = scheme.LazySecret(16, rng_for(4))
-    values = [lazy.block(i) for i in (1, 5, 65536, 5, 1)]
-    assert values[1] == values[3] and values[0] == values[4]
-    assert all(0 <= v < 2**16 for v in values)
-    with pytest.raises(ValueError):
-        lazy.block(65537)
-
-
 # -- reports -------------------------------------------------------------------------
 
 
 def test_report_serialization_is_exactly_2k_bits():
     rep = scheme.TokenReport(index=3, value=0b1010, k=4)
-    assert rep.bits() == "0010" + "1010"
-    assert len(rep.bits()) == 8
+    assert format(rep.wire(), "08b") == "0010" + "1010"
+    assert rep.wire() < 2**8
     assert rep.to_hex() == "2a"
-    assert scheme.TokenReport.from_hex(4, "2a") == rep
+    assert scheme.TokenReport.from_wire(4, int("2a", 16)) == rep
 
 
 def test_report_validation():
@@ -182,16 +173,28 @@ def test_report_on_basis_state_token():
 
 
 def test_report_emulated_accepted_at_large_k():
-    secret = scheme.LazySecret(16, rng_for(12))
-    rep = scheme.report_emulated(secret, rng_for(13))
-    assert scheme.test(scheme.Ledger(secret), rep)
+    secret = scheme.SecretString.random(16, rng_for(12))
+    (index,), (value,) = scheme.report_emulated(secret, rng_for(13), 1)
+    assert scheme.test(scheme.Ledger(secret), scheme.TokenReport(int(index), int(value), 16))
 
 
 def test_report_emulated_deterministic_for_fixed_seed():
     secret = scheme.SecretString.random(4, rng_for(14))
-    a = scheme.report_emulated(secret, rng_for(99))
-    b = scheme.report_emulated(secret, rng_for(99))
-    assert a == b
+    a = scheme.report_emulated(secret, rng_for(99), 5)
+    b = scheme.report_emulated(secret, rng_for(99), 5)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_report_emulated_batch_equals_single_draws():
+    """One call for n reports reads the generator exactly as n calls for one."""
+    secret = scheme.SecretString.random(8, rng_for(20))
+    batch_rng, single_rng = rng_for(21), rng_for(21)
+    indices, values = scheme.report_emulated(secret, batch_rng, 50)
+    singles = [scheme.report_emulated(secret, single_rng, 1) for _ in range(50)]
+    assert indices.tolist() == [int(i[0]) for i, _ in singles]
+    assert values.tolist() == [int(v[0]) for _, v in singles]
+    assert all(secret.block(int(i)) == int(v) for i, v in zip(indices, values))
+    assert batch_rng.integers(2**62) == single_rng.integers(2**62)
 
 
 def test_report_emulated_matches_report_distribution():
@@ -206,7 +209,7 @@ def test_report_emulated_matches_report_distribution():
     counts_e = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
         counts_q[scheme.report(token, rng).index - 1] += 1
-        counts_e[scheme.report_emulated(secret, rng).index - 1] += 1
+        counts_e[scheme.report_emulated(secret, rng, 1)[0][0] - 1] += 1
     stat, dof = refsim.chi_squared_two_sample(counts_q, counts_e)
     assert stat <= stats.chi2_critical(dof, 0.001)
 
@@ -235,33 +238,25 @@ def test_test_rejects_duplicates_and_mismatches():
 
 def test_btest_examples():
     secret = scheme.SecretString(4, list(range(16)))
-    fresh = [scheme.TokenReport(i, secret.block(i), 4) for i in (1, 2, 3)]
-    assert scheme.btest(secret, fresh) == "111"
-    rep = fresh[0]
-    assert scheme.btest(secret, [rep, rep]) == "10"
-    guesses = [scheme.TokenReport(i, secret.block(i) ^ 1, 4) for i in (1, 2, 3)]
-    assert scheme.btest(secret, guesses) == "000"
+    fresh = [1, 2, 3]
+    assert scheme.btest(secret, fresh, [secret.block(i) for i in fresh]) == "111"
+    assert scheme.btest(secret, [1, 1], [secret.block(1)] * 2) == "10"
+    assert scheme.btest(secret, fresh, [secret.block(i) ^ 1 for i in fresh]) == "000"
 
 
 def test_btest_budget_enforced():
     secret = scheme.SecretString.random(4, rng_for(17))
-    reports = [scheme.TokenReport(1, 0, 4)] * 5  # budget is 2^(k/2) = 4
     with pytest.raises(ValueError):
-        scheme.btest(secret, reports)
+        scheme.btest(secret, [1] * 5, [0] * 5)  # budget is 2^(k/2) = 4
 
 
 def test_btest_accept_count_bounded_by_distinct_valid_pairs():
     rng = rng_for(18)
     secret = scheme.SecretString.random(4, rng)
     for _ in range(50):
-        reports = [
-            scheme.TokenReport(int(rng.integers(1, 17)), int(rng.integers(0, 16)), 4)
-            for _ in range(4)
-        ]
-        accepted = scheme.btest(secret, reports).count("1")
-        distinct_valid = len(
-            {r.wire() for r in reports if secret.block(r.index) == r.value}
-        )
+        pairs = [(int(rng.integers(1, 17)), int(rng.integers(0, 16))) for _ in range(4)]
+        accepted = scheme.btest(secret, *zip(*pairs)).count("1")
+        distinct_valid = len({(i, v) for i, v in pairs if secret.block(i) == v})
         assert accepted <= distinct_valid
 
 
