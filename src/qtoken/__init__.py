@@ -13,7 +13,6 @@ from .core import (
     RegisterLayout,
     SparseState,
     SwapOutcome,
-    inner_product,
     measure_register,
     random_state,
     reduced_density,
@@ -21,14 +20,12 @@ from .core import (
     swap_project,
     swap_test,
     tensor,
-    tensor_all,
     trace_distance_advantage,
 )
 from .scheme import (
     Ledger,
     SchemeParams,
     SecretString,
-    TokenReport,
     btest,
     mint,
     report,
@@ -44,7 +41,7 @@ from .adversary import (
     mint_permutation_paired,
     run_forgery,
 )
-from .bank import BankClient, BankServer, BankService, CorruptLogError, Decision
+from .bank import BankServer, BankService, CorruptLogError, Decision
 from .harness import ExperimentResult, ScenarioSpec, run_inequality_suite, run_scenario
 
 __version__ = "0.1.0"

@@ -30,19 +30,19 @@ from .core import (
     swap_test,
     trace_distance_advantage,
 )
-from .scheme import TokenReport
+from .scheme import unwire
 
 
 @dataclass(frozen=True)
 class AuditOutcome:
-    """Either cheat detected (no report) or a report from the audited token.
+    """Either cheat detected (no report) or the audited token's (index, value) report.
 
     ``post_state`` is the full joint state after the audit, so the surviving
     pattern register can be reused for the next transaction.
     """
 
     cheat_detected: bool
-    report: TokenReport | None
+    report: tuple[int, int] | None
     post_state: SparseState
 
     def __post_init__(self):
@@ -56,7 +56,7 @@ class AuditOutcome:
         return cls(True, None, post_state)
 
     @classmethod
-    def passed(cls, report: TokenReport, post_state: SparseState) -> AuditOutcome:
+    def passed(cls, report: tuple[int, int], post_state: SparseState) -> AuditOutcome:
         return cls(False, report, post_state)
 
 
@@ -68,12 +68,12 @@ class ChainAudit:
     outcome: AuditOutcome
 
 
-def _measure_report(joint, layout, token, rng) -> tuple[TokenReport, SparseState]:
+def _measure_report(joint, layout, token, rng) -> tuple[tuple[int, int], SparseState]:
     width = layout.width(token)
     if width % 2 != 0:
         raise ValueError("token register width must be even")
     bits, post = measure_register(joint, layout, token, rng)
-    return TokenReport.from_wire(width // 2, int(bits, 2)), post
+    return unwire(width // 2, int(bits, 2)), post
 
 
 def report_prime(

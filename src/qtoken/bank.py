@@ -6,9 +6,12 @@ between the money, one-time-pad and voting flows: once a pair (I, R) has been
 submitted for verification or consumed as a pad, it can never authorize
 anything again.
 
-Durability comes from an append-only log with one record per request,
-written (and optionally fsynced) before the decision changes any state and
-before the response leaves the service.
+Durability comes from an append-only log with one record per decided
+request, written (and optionally fsynced) before the decision changes any
+state and before the response leaves the service. ``handle_verify`` logs only
+reports for a known series with an in-range pair; an unknown series or an
+out-of-range pair is answered without a record. A log write that fails is
+cut back and answered ``ERROR unavailable``, with nothing changed.
 Recovery replays the log through the same decision logic and refuses to
 start if any replayed decision disagrees with what was logged, which is how
 log corruption is detected.
@@ -32,14 +35,13 @@ and series registrations are recorded as `SERIES <series> <k> <S_hex> OK`.
 from __future__ import annotations
 
 import os
-import socket
 import socketserver
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .scheme import Ledger, SchemeParams, SecretString, TokenReport
+from .scheme import Ledger, SchemeParams, SecretString, unwire, wire
 
 # Pad verbs and the rejection each gives for an already spent pair.
 _PAD_REJECTIONS = {"DECODE": "reused-pad", "VOTE": "double-vote"}
@@ -132,8 +134,8 @@ class BankService:
 
     # -- series management --------------------------------------------------
 
-    def register_series(self, secret: SecretString, series_id: str | None = None) -> str:
-        sid = series_id if series_id is not None else secret.series_id
+    def register_series(self, secret: SecretString) -> str:
+        sid = secret.series_id
         with self._lock:
             insert = self._register(secret, sid)
             if self._log is not None:  # spares the hex encoding when nothing is logged
@@ -196,9 +198,9 @@ class BankService:
             return Decision("ERROR", "unknown-series"), _unchanged
         ledger, k = rec.ledger, rec.ledger.k
         if verb == "VERIFY":
-            if not 0 <= value < 1 << (2 * k) or (value >> k) + 1 != index:
+            wire_index, block = unwire(k, value)
+            if not 0 <= value < 1 << (2 * k) or wire_index != index:
                 raise ValueError("index does not match serialized report")
-            block = value & ((1 << k) - 1)
             reason = ledger.check(index, block)
 
             def verify():
@@ -223,31 +225,32 @@ class BankService:
             return Decision("OK"), spend
         return Decision("OK", payload=value ^ pad, payload_width=k // 4), spend
 
-    def _submit(
-        self, verb: str, series_id: str, index: int, value: int, payload: str | None = None
-    ) -> Decision:
+    def _submit(self, verb: str, series_id: str, index: int, value: int) -> Decision:
         """Decide, log, apply, reply: the one locked sequence behind every logged request.
 
-        A failed log write raises before anything changes. ``payload`` is the
-        logged hex field; DECODE and VOTE leave it to the series' pad width
-        (one digit for an unknown series).
+        A failed log write raises before anything changes. The logged hex field
+        is 2k bits wide for a VERIFY wire and k bits for a ciphertext (one digit
+        for an unknown series).
         """
         with self._lock:
             rec = self._series.get(series_id)
             decision, apply = self._decide(verb, rec, index, value)
-            if payload is None:
-                payload = f"{value:0{rec.ledger.k // 4 if rec else 1}x}"
-            self._append_log(verb, series_id, index, payload, decision)
+            width = rec.ledger.k // (2 if verb == "VERIFY" else 4) if rec else 1
+            self._append_log(verb, series_id, index, f"{value:0{width}x}", decision)
             apply()
             return decision
 
     # -- handlers ------------------------------------------------------------
 
-    def handle_verify(self, series_id: str, rep: TokenReport) -> Decision:
-        if self.series_k(series_id) not in (None, rep.k):
-            raise ValueError("report and series have different k")
-        payload = rep.to_hex() if rep.k % 2 == 0 else format(rep.value, "x")
-        return self._submit("VERIFY", series_id, rep.index, rep.wire(), payload)
+    def handle_verify(self, series_id: str, index: int, value: int) -> Decision:
+        """Decide one report (index, value); an unknown series or a pair out of
+        range is answered without a log record."""
+        k = self.series_k(series_id)
+        if k is None:
+            return Decision("ERROR", "unknown-series")
+        if not (1 <= index <= 1 << k and 0 <= value < 1 << k):
+            return Decision("REJECT", "bad-value")
+        return self._submit("VERIFY", series_id, index, wire(k, index, value))
 
     def handle_decode(self, series_id: str, index: int, cipher: int) -> Decision:
         return self._submit("DECODE", series_id, index, cipher)
@@ -267,18 +270,14 @@ class BankService:
             payload = int(payload_hex, 16)
         except ValueError:
             return "ERROR bad-request"
-        if verb == "VERIFY":
-            k = self.series_k(series_id)
-            if k is None:
-                return "ERROR unknown-series"
-            try:
-                rep = TokenReport(index, payload, k)
-            except ValueError:
-                return "REJECT bad-value"
-            return self.handle_verify(series_id, rep).text()
-        if verb in _PAD_REJECTIONS:
+        if verb != "VERIFY" and verb not in _PAD_REJECTIONS:
+            return "ERROR bad-request"
+        try:
+            if verb == "VERIFY":
+                return self.handle_verify(series_id, index, payload).text()
             return self._submit(verb, series_id, index, payload).text()
-        return "ERROR bad-request"
+        except OSError:  # the log write failed and was cut back: nothing changed
+            return "ERROR unavailable"
 
     # -- recovery ---------------------------------------------------------------
 
@@ -369,28 +368,3 @@ class BankServer:
             os.unlink(self._server.server_address)
         if self._thread is not None:
             self._thread.join(timeout=5)
-
-
-class BankClient:
-    """Minimal line-protocol client for tests and the CLI."""
-
-    def __init__(self, address: str):
-        addr, is_unix = _parse_address(address)
-        if is_unix:
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.connect(addr)
-        else:
-            self._sock = socket.create_connection(addr)
-        self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
-
-    def request(self, line: str) -> str:
-        self._file.write(line.rstrip("\n") + "\n")
-        self._file.flush()
-        response = self._file.readline()
-        if not response:
-            raise ConnectionError("server closed the connection")
-        return response.rstrip("\n")
-
-    def close(self) -> None:
-        self._file.close()
-        self._sock.close()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -200,27 +200,6 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
         for y, by in b.amplitudes.items():
             amps[base | y] = ax * by
     return SparseState(a.num_qubits + b.num_qubits, amps)
-
-
-def tensor_all(states: Iterable[SparseState]) -> SparseState:
-    out = None
-    for s in states:
-        out = s if out is None else tensor(out, s)
-    if out is None:
-        raise ValueError("tensor_all needs at least one state")
-    return out
-
-
-def inner_product(a: SparseState, b: SparseState) -> complex:
-    """<a|b>, conjugate-linear in ``a``."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("inner product requires equal qubit counts")
-    small, big = (a.amplitudes, b.amplitudes)
-    if len(small) > len(big):
-        acc = sum(small[i].conjugate() * amp for i, amp in big.items() if i in small)
-    else:
-        acc = sum(amp.conjugate() * big[i] for i, amp in small.items() if i in big)
-    return complex(acc)
 
 
 def measure_register(

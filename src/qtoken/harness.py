@@ -210,11 +210,10 @@ def _run_honest_flow(spec: ScenarioSpec) -> ExperimentResult:
         secret = scheme.SecretString.random(k, rng, f"t{t}")
         sid = service.register_series(secret)
         token = scheme.mint(secret, 1)[0]
-        rep = scheme.report(token, rng)
-        decision = service.handle_verify(sid, rep)
-        accepted += decision.status == "OK"
-        valid += secret.block(rep.index) == rep.value
-        index_counts[rep.index - 1] += 1
+        index, value = scheme.report(token, rng)
+        accepted += service.handle_verify(sid, index, value).status == "OK"
+        valid += secret.block(index) == value
+        index_counts[index - 1] += 1
     stat, crit, _ = stats.uniformity_passes(index_counts)
     metrics = (
         _rate_metric("acceptance_rate", accepted, trials, 1.0,
@@ -248,15 +247,13 @@ def _run_adversarial_history(spec: ScenarioSpec) -> ExperimentResult:
         decoy = scheme.SecretString.random(k, rng, "decoy")
         ledger = scheme.Ledger(secret)
         for i in rng.permutation(size)[:j_foreign]:
-            ledger.record(int(i) + 1, decoy.block(int(i) + 1))
-        rep = scheme.report(token, rng)
-        rejected_foreign += not scheme.test(ledger, rep)
+            ledger.verify(int(i) + 1, decoy.block(int(i) + 1))
+        rejected_foreign += ledger.check(*scheme.report(token, rng)) is not None
 
         ledger_same = scheme.Ledger(secret)
         for i in rng.permutation(size)[:j_same]:
-            ledger_same.record(int(i) + 1, secret.block(int(i) + 1))
-        rep2 = scheme.report(token, rng)
-        rejected_same += not scheme.test(ledger_same, rep2)
+            ledger_same.verify(int(i) + 1, secret.block(int(i) + 1))
+        rejected_same += ledger_same.check(*scheme.report(token, rng)) is not None
 
     p_foreign = j_foreign / size**2
     p_same = j_same / size
@@ -352,13 +349,13 @@ def _run_tracking_audit(spec: ScenarioSpec) -> ExperimentResult:
     for t in range(trials):
         rng = stats.spawn_rng(seed, 2, t)
         bits, _ = measure_register(loaded, loaded_layout, "token", rng)
-        rep = scheme.TokenReport.from_wire(k, int(bits, 2))
-        loaded_counts[rep.index - 1] += 1
-        loaded_valid += secret.block(rep.index) == rep.value
+        index, value = scheme.unwire(k, int(bits, 2))
+        loaded_counts[index - 1] += 1
+        loaded_valid += secret.block(index) == value
         bits, _ = measure_register(paired, paired_layout, "token1", rng)
-        rep = scheme.TokenReport.from_wire(k, int(bits, 2))
-        paired_counts[rep.index - 1] += 1
-        paired_valid += secret.block(rep.index) == rep.value
+        index, value = scheme.unwire(k, int(bits, 2))
+        paired_counts[index - 1] += 1
+        paired_valid += secret.block(index) == value
 
     p_detect = (1.0 - 2.0**-k) / 2.0
     stat_l, crit, _ = stats.uniformity_passes(loaded_counts)

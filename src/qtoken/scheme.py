@@ -120,34 +120,14 @@ class SecretString:
         return cls(k, [int(bits[i:i + k], 2) for i in range(0, bit_length, k)], series_id)
 
 
-@dataclass(frozen=True, slots=True)
-class TokenReport:
-    """Classical redemption message: index I in [1, 2^k] and a k-bit value."""
+def wire(k: int, index: int, value: int) -> int:
+    """The 2k-bit serialized form of the pair (index, value): big-endian (I-1), then R."""
+    return ((index - 1) << k) | value
 
-    index: int
-    value: int
-    k: int
 
-    def __post_init__(self):
-        if not 1 <= self.index <= 1 << self.k:
-            raise ValueError(f"report index {self.index} out of range for k={self.k}")
-        if not 0 <= self.value < 1 << self.k:
-            raise ValueError(f"report value out of range for k={self.k}")
-
-    def wire(self) -> int:
-        """The 2k-bit serialized form: big-endian (I-1) followed by R."""
-        return ((self.index - 1) << self.k) | self.value
-
-    def to_hex(self) -> str:
-        if self.k % 2 != 0:
-            raise ValueError("hex form needs k divisible by 2")
-        return format(self.wire(), f"0{self.k // 2}x")
-
-    @classmethod
-    def from_wire(cls, k: int, wire: int) -> TokenReport:
-        if not 0 <= wire < 1 << (2 * k):
-            raise ValueError("serialized report out of range")
-        return cls((wire >> k) + 1, wire & ((1 << k) - 1), k)
+def unwire(k: int, wire: int) -> tuple[int, int]:
+    """The pair (index, value) that a 2k-bit wire form encodes."""
+    return (wire >> k) + 1, wire & ((1 << k) - 1)
 
 
 class Ledger:
@@ -174,34 +154,30 @@ class Ledger:
             return "budget-exhausted"
         if self.secret.block(index) != value:
             return "bad-value"
-        if (((index - 1) << self.k) | value) in self.spent:
+        if wire(self.k, index, value) in self.spent:
             return "double-spend"
         return None
 
-    def record(self, index: int, value: int) -> None:
-        """Count one verification attempt and spend its pair."""
-        self.attempts += 1
-        self.spent.setdefault(((index - 1) << self.k) | value, False)
-
     def verify(self, index: int, value: int) -> str | None:
-        """Decide one verification attempt and record it unless over budget."""
+        """Decide one verification attempt; unless over budget, count it and spend its pair."""
         reason = self.check(index, value)
         if reason != "budget-exhausted":
-            self.record(index, value)
+            self.attempts += 1
+            self.spent.setdefault(wire(self.k, index, value), False)
         return reason
 
     def pad(self, index: int) -> int | None:
         """The pad block_index(S), or None if its pair is already spent. Pure."""
         pad = self.secret.block(index)
-        return None if (((index - 1) << self.k) | pad) in self.spent else pad
+        return None if wire(self.k, index, pad) in self.spent else pad
 
     def spend_pad(self, index: int) -> None:
         """Consume the pad block_index(S)."""
-        self.spent[((index - 1) << self.k) | self.secret.block(index)] = True
+        self.spent[wire(self.k, index, self.secret.block(index))] = True
 
     def pads(self) -> list[int]:
         """Wire forms of the consumed pads, ascending."""
-        return sorted(wire for wire, pad in self.spent.items() if pad)
+        return sorted(w for w, pad in self.spent.items() if pad)
 
 
 @lru_cache(maxsize=None)
@@ -240,13 +216,13 @@ def mint(secret: SecretString, count: int) -> list[SparseState]:
     return [SparseState(proto.num_qubits, dict(proto.amplitudes)) for _ in range(count)]
 
 
-def report(token: SparseState, rng: np.random.Generator) -> TokenReport:
-    """Measure a token in the computational basis and parse the (I, R) pair."""
+def report(token: SparseState, rng: np.random.Generator) -> tuple[int, int]:
+    """Measure a token in the computational basis: one (index, value) pair."""
     if token.num_qubits % 2 != 0:
         raise ValueError("token must have an even number of qubits")
     k = token.num_qubits // 2
     bits, _ = measure_register(token, _token_layout(k), "token", rng)
-    return TokenReport.from_wire(k, int(bits, 2))
+    return unwire(k, int(bits, 2))
 
 
 def report_emulated(
@@ -258,16 +234,6 @@ def report_emulated(
     """
     indices = rng.integers(0, 1 << secret.k, size=count) + 1
     return indices, secret._blocks[indices - 1]
-
-
-def test(ledger: Ledger, report: TokenReport) -> bool:
-    """Bank's verification predicate: block match, fresh pair, budget left.
-
-    Pure function of its inputs; never mutates the ledger.
-    """
-    if report.k != ledger.k:
-        raise ValueError("report and secret have different k")
-    return ledger.check(report.index, report.value) is None
 
 
 def btest(secret: SecretString, indices, values) -> str:

@@ -12,6 +12,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from qtoken import bank, core, harness, scheme, stats
@@ -43,7 +44,7 @@ def test_criterion_1_swap_test_law():
         phi, psi = core.random_state(k, rng), core.random_state(k, rng)
         layout = core.RegisterLayout([("a", k), ("b", k)])
         joint = core.tensor(phi, psi)
-        expected = (1.0 - abs(core.inner_product(phi, psi)) ** 2) / 2.0
+        expected = (1.0 - abs(np.vdot(phi.dense(), psi.dense())) ** 2) / 2.0
         exact = core.swap_probability(joint, layout, "a", "b")
         assert abs(exact - expected) <= 1e-9
         pairs.append((joint, layout, exact))
@@ -172,12 +173,12 @@ def test_criterion_7_service_safety(tmp_path):
     service = bank.BankService()
     secret = scheme.SecretString.random(12, stats.spawn_rng(SEED, 7), "stress")
     sid = service.register_series(secret)
-    rep = scheme.TokenReport(1, secret.block(1), 12)
+    pair = (1, secret.block(1))
     barrier = threading.Barrier(32)
 
     def worker(n_requests):
         barrier.wait()
-        return [service.handle_verify(sid, rep).status for _ in range(n_requests)]
+        return [service.handle_verify(sid, *pair).status for _ in range(n_requests)]
 
     shares = [1000 // 32 + (1 if i < 1000 % 32 else 0) for i in range(32)]
     with ThreadPoolExecutor(max_workers=32) as pool:
@@ -215,9 +216,9 @@ def test_criterion_7_service_safety(tmp_path):
     sid3 = svc_c.register_series(secret3)
     cap = scheme.SchemeParams.for_k(4).cap_test
     for i in range(1, cap + 1):
-        decision = svc_c.handle_verify(sid3, scheme.TokenReport(i, secret3.block(i), 4))
+        decision = svc_c.handle_verify(sid3, i, secret3.block(i))
         assert decision.status == "OK"
-    over = svc_c.handle_verify(sid3, scheme.TokenReport(5, secret3.block(5), 4))
+    over = svc_c.handle_verify(sid3, 5, secret3.block(5))
     budget_exact = (
         over.reason == "budget-exhausted" and svc_c.snapshot(sid3)["attempts"] == cap
     )

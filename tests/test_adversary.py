@@ -141,9 +141,9 @@ def test_loaded_token_index_correlation():
     rng = rng_for(7)
     for _ in range(100):
         bits, post = core.measure_register(state, layout, "token", rng)
-        rep = scheme.TokenReport.from_wire(k, int(bits, 2))
+        index, _ = scheme.unwire(k, int(bits, 2))
         bank_bits, _ = core.measure_register(post, layout, "bank", rng)
-        assert int(bank_bits, 2) == rep.index - 1
+        assert int(bank_bits, 2) == index - 1
 
 
 def test_loaded_bank_flags_unrelated_user_rarely():
@@ -158,8 +158,8 @@ def test_loaded_bank_flags_unrelated_user_rarely():
     for _ in range(trials):
         _, post = core.measure_register(state, layout, "token", rng)
         bank_bits, _ = core.measure_register(post, layout, "bank", rng)
-        other = scheme.report(honest, rng)
-        flagged += int(bank_bits, 2) == other.index - 1
+        other_index, _ = scheme.report(honest, rng)
+        flagged += int(bank_bits, 2) == other_index - 1
     p = 2.0**-k
     assert abs(flagged / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
@@ -173,9 +173,9 @@ def test_loaded_message_distribution_is_honest():
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
         bits, _ = core.measure_register(state, layout, "token", rng)
-        rep = scheme.TokenReport.from_wire(k, int(bits, 2))
-        assert secret.block(rep.index) == rep.value
-        counts[rep.index - 1] += 1
+        index, value = scheme.unwire(k, int(bits, 2))
+        assert secret.block(index) == value
+        counts[index - 1] += 1
     _, _, ok = stats.uniformity_passes(counts, significance=0.001)
     assert ok
 
@@ -188,12 +188,12 @@ def test_permutation_paired_outcomes_locked():
     state, layout = adversary.mint_permutation_paired(secret, perm)
     for _ in range(100):
         bits1, post = core.measure_register(state, layout, "token1", rng)
-        r1 = scheme.TokenReport.from_wire(k, int(bits1, 2))
+        i1, v1 = scheme.unwire(k, int(bits1, 2))
         bits2, _ = core.measure_register(post, layout, "token2", rng)
-        r2 = scheme.TokenReport.from_wire(k, int(bits2, 2))
-        assert secret.block(r1.index) == r1.value
-        assert secret.block(r2.index) == r2.value
-        assert r2.index - 1 == int(perm[r1.index - 1])
+        i2, v2 = scheme.unwire(k, int(bits2, 2))
+        assert secret.block(i1) == v1
+        assert secret.block(i2) == v2
+        assert i2 - 1 == int(perm[i1 - 1])
 
 
 def test_identity_permutation_repeats_the_index():

@@ -1,5 +1,6 @@
 """Audit flow tests: pattern swap tests, chained audits, anonymity bounds."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ def honest_joint(k, seed, extra_tokens=1):
     secret = scheme.SecretString.random(k, rng_for(seed))
     token = scheme.token_state(secret)
     names = [("pattern", 2 * k)] + [(f"t{i}", 2 * k) for i in range(1, extra_tokens + 1)]
-    joint = core.tensor_all([token] * (extra_tokens + 1))
+    joint = functools.reduce(core.tensor, [token] * (extra_tokens + 1))
     return secret, joint, core.RegisterLayout(names)
 
 
@@ -33,7 +34,8 @@ def test_identical_tokens_never_flag_and_report_validly():
     for _ in range(40):
         out = audit.report_prime(joint, layout, "pattern", "t1", rng)
         assert not out.cheat_detected
-        assert secret.block(out.report.index) == out.report.value
+        index, value = out.report
+        assert secret.block(index) == value
         post_rho = core.reduced_density(out.post_state, layout, "pattern")
         assert np.allclose(post_rho.entries, pattern_rho.entries, atol=1e-9)
 
@@ -79,7 +81,7 @@ def test_loaded_token_detection_rate():
 def test_audit_outcome_invariant():
     state = core.SparseState.basis(2, 0)
     with pytest.raises(ValueError):
-        audit.AuditOutcome(True, scheme.TokenReport(1, 0, 1), state)
+        audit.AuditOutcome(True, (1, 0), state)
     with pytest.raises(ValueError):
         audit.AuditOutcome(False, None, state)
 
@@ -95,8 +97,8 @@ def test_chain_on_identical_tokens():
         result = audit.report_chain(joint, layout, rng)
         assert result.swap_bits == (0, 0)
         assert not result.outcome.cheat_detected
-        rep = result.outcome.report
-        assert secret.block(rep.index) == rep.value
+        index, value = result.outcome.report
+        assert secret.block(index) == value
 
 
 def test_chain_aborts_on_orthogonal_register():
@@ -108,7 +110,7 @@ def test_chain_aborts_on_orthogonal_register():
     token = scheme.token_state(secret)
     outside = next(i for i in range(1 << (2 * k)) if i not in token.amplitudes)
     bogus = core.SparseState.basis(2 * k, outside)
-    joint = core.tensor_all([token, token, bogus])
+    joint = functools.reduce(core.tensor, [token, token, bogus])
     layout = core.RegisterLayout([("p", 2), ("t1", 2), ("t2", 2)])
     p_first = core.swap_probability(joint, layout, "p", "t2")
     assert abs(p_first - 0.5) <= 1e-9
@@ -167,8 +169,8 @@ def test_audited_report_distribution_matches_plain_report():
     counts_plain = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
         out = audit.report_prime(joint, layout, "pattern", "t1", rng)
-        counts_audit[out.report.index - 1] += 1
-        counts_plain[scheme.report(token, rng).index - 1] += 1
+        counts_audit[out.report[0] - 1] += 1
+        counts_plain[scheme.report(token, rng)[0] - 1] += 1
     stat, dof = refsim.chi_squared_two_sample(counts_audit, counts_plain)
     assert stat <= stats.chi2_critical(dof, 0.001)
 
@@ -180,7 +182,7 @@ def test_anonymity_gap_identical_registers():
     rng = rng_for(16)
     beta = core.random_state(2, rng)
     phi = core.random_state(2, rng)
-    chi = core.tensor_all([beta, phi, phi])
+    chi = functools.reduce(core.tensor, [beta, phi, phi])
     layout = core.RegisterLayout([("r0", 2), ("r1", 2), ("r2", 2)])
     gap = audit.anonymity_gap(chi, layout, "r0", "r1", "r2")
     assert abs(gap.advantage - 0.5) <= 1e-9
@@ -238,20 +240,20 @@ def test_heuristic_swapped_usage_distinguisher_respects_bound():
         side = int(rng.integers(1, 3))
         if side == 1:
             bits, post = core.measure_register(chi, layout, "tok1", rng)
-            outcome = scheme.TokenReport.from_wire(k, int(bits, 2))
+            outcome = scheme.unwire(k, int(bits, 2))
         else:
             swap = core.swap_test(chi, layout, "tok2", "tok1", rng)
             if swap.bit == 1:
                 outcome, post = None, swap.post_state
             else:
                 bits, post = core.measure_register(swap.post_state, layout, "tok1", rng)
-                outcome = scheme.TokenReport.from_wire(k, int(bits, 2))
+                outcome = scheme.unwire(k, int(bits, 2))
         # Heuristic guess: abort means audited; otherwise match the bank
         # register against the reported index.
         if outcome is None:
             guess = 2
         else:
             bank_bits, _ = core.measure_register(post, layout, "bank", rng)
-            guess = 2 if int(bank_bits, 2) == outcome.index - 1 else 1
+            guess = 2 if int(bank_bits, 2) == outcome[0] - 1 else 1
         wins += guess == side
     assert wins / trials <= bound + 3 * math.sqrt(0.25 / trials)

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import socket
 import tempfile
 import threading
 from collections import Counter
@@ -27,7 +28,32 @@ def fresh_service(k=4, seed=0, **kwargs):
 
 
 def valid_report(secret, index=1):
-    return scheme.TokenReport(index, secret.block(index), secret.k)
+    return index, secret.block(index)
+
+
+class LineClient:
+    """One connection to a ``BankServer``: send a request line, read its response line."""
+
+    def __init__(self, address):
+        if ":" in address:
+            host, port = address.rsplit(":", 1)
+            self._sock = socket.create_connection((host, int(port)))
+        else:
+            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self._sock.connect(address)
+        self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
+
+    def request(self, line):
+        self._file.write(line + "\n")
+        self._file.flush()
+        response = self._file.readline()
+        if not response:
+            raise ConnectionError("server closed the connection")
+        return response.rstrip("\n")
+
+    def close(self):
+        self._file.close()
+        self._sock.close()
 
 
 # -- verify ---------------------------------------------------------------------
@@ -36,36 +62,42 @@ def valid_report(secret, index=1):
 def test_verify_accept_then_double_spend():
     service, secret, sid = fresh_service()
     rep = valid_report(secret, 3)
-    assert service.handle_verify(sid, rep).status == "OK"
-    again = service.handle_verify(sid, rep)
+    assert service.handle_verify(sid, *rep).status == "OK"
+    again = service.handle_verify(sid, *rep)
     assert (again.status, again.reason) == ("REJECT", "double-spend")
 
 
 def test_verify_bad_value():
     service, secret, sid = fresh_service()
-    bad = scheme.TokenReport(3, secret.block(3) ^ 1, secret.k)
-    decision = service.handle_verify(sid, bad)
+    bad = (3, secret.block(3) ^ 1)
+    decision = service.handle_verify(sid, *bad)
     assert (decision.status, decision.reason) == ("REJECT", "bad-value")
 
 
 def test_verify_unknown_series():
     service, secret, _ = fresh_service()
-    decision = service.handle_verify("nope", valid_report(secret))
+    decision = service.handle_verify("nope", *valid_report(secret))
     assert (decision.status, decision.reason) == ("ERROR", "unknown-series")
 
 
-def test_verify_mismatched_k_is_a_caller_error():
-    service, _, sid = fresh_service()
-    with pytest.raises(ValueError):
-        service.handle_verify(sid, scheme.TokenReport(1, 0, 8))
+def test_verify_out_of_range_pair_is_an_unlogged_reject(tmp_path):
+    log = tmp_path / "bank.log"
+    service, _, sid = fresh_service(log_path=str(log))  # k = 4
+    logged = log.read_bytes()
+    for index, value in ((17, 0), (1, 16)):
+        decision = service.handle_verify(sid, index, value)
+        assert (decision.status, decision.reason) == ("REJECT", "bad-value")
+    assert log.read_bytes() == logged
+    assert service.snapshot(sid)["attempts"] == 0
+    service.close()
 
 
 def test_verify_budget_enforced_exactly():
     service, secret, sid = fresh_service()  # cap_test = 4 at k = 4
     for i in range(1, 5):
-        decision = service.handle_verify(sid, valid_report(secret, i))
+        decision = service.handle_verify(sid, *valid_report(secret, i))
         assert decision.status == "OK"
-    over = service.handle_verify(sid, valid_report(secret, 5))
+    over = service.handle_verify(sid, *valid_report(secret, 5))
     assert (over.status, over.reason) == ("REJECT", "budget-exhausted")
     snap = service.snapshot(sid)
     assert snap["attempts"] == 4 and snap["accepted"] == 4
@@ -73,10 +105,10 @@ def test_verify_budget_enforced_exactly():
 
 def test_rejected_submissions_count_against_budget():
     service, secret, sid = fresh_service()
-    bad = scheme.TokenReport(1, secret.block(1) ^ 1, secret.k)
+    bad = (1, secret.block(1) ^ 1)
     for _ in range(4):
-        assert service.handle_verify(sid, bad).reason in ("bad-value", "double-spend")
-    assert service.handle_verify(sid, valid_report(secret, 2)).reason == "budget-exhausted"
+        assert service.handle_verify(sid, *bad).reason in ("bad-value", "double-spend")
+    assert service.handle_verify(sid, *valid_report(secret, 2)).reason == "budget-exhausted"
 
 
 def test_accepts_never_exceed_distinct_valid_pairs():
@@ -84,12 +116,10 @@ def test_accepts_never_exceed_distinct_valid_pairs():
     rng = rng_for(4)
     submitted = []
     for _ in range(scheme.SchemeParams.for_k(8).cap_test):
-        rep = scheme.TokenReport(int(rng.integers(1, 257)), int(rng.integers(0, 256)), 8)
+        rep = (int(rng.integers(1, 257)), int(rng.integers(0, 256)))
         submitted.append(rep)
-        service.handle_verify(sid, rep)
-    distinct_valid = len(
-        {r.wire() for r in submitted if secret.block(r.index) == r.value}
-    )
+        service.handle_verify(sid, *rep)
+    distinct_valid = len({(i, v) for i, v in submitted if secret.block(i) == v})
     assert service.snapshot(sid)["accepted"] <= distinct_valid
 
 
@@ -118,10 +148,10 @@ def test_money_and_pad_flows_share_freshness():
     service, secret, sid = fresh_service(k=8, seed=7)
     # decode first, same pair can no longer pass verification
     service.handle_decode(sid, 4, secret.block(4))
-    verify = service.handle_verify(sid, valid_report(secret, 4))
+    verify = service.handle_verify(sid, *valid_report(secret, 4))
     assert (verify.status, verify.reason) == ("REJECT", "double-spend")
     # verify first, pad is burned for decoding
-    assert service.handle_verify(sid, valid_report(secret, 5)).status == "OK"
+    assert service.handle_verify(sid, *valid_report(secret, 5)).status == "OK"
     decode = service.handle_decode(sid, 5, secret.block(5))
     assert (decode.status, decode.reason) == ("REJECT", "reused-pad")
 
@@ -160,8 +190,7 @@ def test_vote_payload_decodes_to_cast_choice():
 
 def test_wire_protocol_lines():
     service, secret, sid = fresh_service(k=8, seed=12)
-    rep = valid_report(secret, 3)
-    r_hex = format(rep.value, "02x")
+    r_hex = format(secret.block(3), "02x")
     assert service.handle_line(f"VERIFY {sid} 3 {r_hex}") == "OK"
     assert service.handle_line(f"VERIFY {sid} 3 {r_hex}") == "REJECT double-spend"
     pad = secret.block(4)
@@ -196,7 +225,7 @@ def test_non_ascii_line_keeps_the_socket_connection(tmp_path):
     server = bank.BankServer(service, str(tmp_path / "bank.sock"))
     server.start()
     try:
-        client = bank.BankClient(server.address)
+        client = LineClient(server.address)
         for index, line in enumerate(NON_ASCII_LINES, start=1):
             assert client.request(line) == "ERROR bad-request"
             assert client.request(f"DECODE {sid} {index} {secret.block(index):02x}") == "OK 00"
@@ -206,15 +235,44 @@ def test_non_ascii_line_keeps_the_socket_connection(tmp_path):
         service.close()
 
 
+def test_failed_log_write_answers_unavailable_and_keeps_the_connection(tmp_path):
+    """A log write that stores half its record and fails gets ERROR unavailable;
+    the record is cut back, and the retry on the same connection succeeds."""
+    log = tmp_path / "bank.log"
+    service, secret, sid = fresh_service(k=8, seed=13, log_path=str(log))
+    before = log.read_bytes()
+    write = service._log.write
+
+    def half_then_full(record):
+        write(record[: len(record) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    server = bank.BankServer(service, str(tmp_path / "bank.sock"))
+    server.start()
+    try:
+        client = LineClient(server.address)
+        line = f"VERIFY {sid} 3 {secret.block(3):02x}"
+        service._log.write = half_then_full
+        assert client.request(line) == "ERROR unavailable"
+        assert log.read_bytes() == before
+        service._log.write = write
+        assert client.request(line) == "OK"
+        client.close()
+    finally:
+        server.stop()
+        service.close()
+    record = f"VERIFY {sid} 3 {scheme.wire(8, 3, secret.block(3)):04x} OK\n"
+    assert log.read_bytes() == before + record.encode()
+
+
 def test_socket_server_roundtrip(tmp_path):
     service, secret, sid = fresh_service(k=8, seed=13)
     server = bank.BankServer(service, str(tmp_path / "bank.sock"))
     server.start()
     try:
-        client = bank.BankClient(server.address)
-        rep = valid_report(secret, 2)
-        assert client.request(f"VERIFY {sid} 2 {rep.value:02x}") == "OK"
-        assert client.request(f"VERIFY {sid} 2 {rep.value:02x}") == "REJECT double-spend"
+        client = LineClient(server.address)
+        assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "OK"
+        assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "REJECT double-spend"
         assert client.request(f"DECODE {sid} 3 {secret.block(3):02x}") == "OK 00"
         client.close()
     finally:
@@ -226,9 +284,8 @@ def test_tcp_server_roundtrip():
     server = bank.BankServer(service, "127.0.0.1:0")
     server.start()
     try:
-        client = bank.BankClient(server.address)
-        rep = valid_report(secret, 2)
-        assert client.request(f"VERIFY {sid} 2 {rep.value:02x}") == "OK"
+        client = LineClient(server.address)
+        assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "OK"
         client.close()
     finally:
         server.stop()
@@ -238,12 +295,11 @@ def test_concurrent_socket_clients_single_accept(tmp_path):
     service, secret, sid = fresh_service(k=8, seed=15)
     server = bank.BankServer(service, str(tmp_path / "bank.sock"))
     server.start()
-    rep = valid_report(secret, 1)
-    line = f"VERIFY {sid} 1 {rep.value:02x}"
+    line = f"VERIFY {sid} 1 {secret.block(1):02x}"
     barrier = threading.Barrier(8)
 
     def worker():
-        client = bank.BankClient(server.address)
+        client = LineClient(server.address)
         barrier.wait()
         results = [client.request(line) for _ in range(5)]
         client.close()
@@ -264,11 +320,11 @@ def test_recovery_preserves_double_spend(tmp_path):
     log = str(tmp_path / "bank.log")
     service, secret, sid = fresh_service(k=8, seed=16, log_path=log)
     rep = valid_report(secret, 3)
-    assert service.handle_verify(sid, rep).status == "OK"
+    assert service.handle_verify(sid, *rep).status == "OK"
     service.close()  # crash between the two duplicate submissions
 
     recovered = bank.BankService.recover(log)
-    decision = recovered.handle_verify(sid, rep)
+    decision = recovered.handle_verify(sid, *rep)
     assert (decision.status, decision.reason) == ("REJECT", "double-spend")
     recovered.close()
 
@@ -281,7 +337,7 @@ def test_recovery_of_empty_and_single_entry_logs(tmp_path):
 
     log2 = str(tmp_path / "one.log")
     service, secret, sid = fresh_service(k=8, seed=17, log_path=log2)
-    service.handle_verify(sid, valid_report(secret, 1))
+    service.handle_verify(sid, *valid_report(secret, 1))
     service.close()
     recovered = bank.BankService.recover(log2)
     snap = recovered.snapshot(sid)
@@ -292,8 +348,8 @@ def test_recovery_of_empty_and_single_entry_logs(tmp_path):
 def test_recovery_restores_full_state(tmp_path):
     log = str(tmp_path / "full.log")
     service, secret, sid = fresh_service(k=8, seed=18, log_path=log)
-    service.handle_verify(sid, valid_report(secret, 1))
-    service.handle_verify(sid, scheme.TokenReport(2, secret.block(2) ^ 1, 8))
+    service.handle_verify(sid, *valid_report(secret, 1))
+    service.handle_verify(sid, 2, secret.block(2) ^ 1)
     service.handle_decode(sid, 3, secret.block(3) ^ 0x7E)
     service.handle_vote(sid, 4, secret.block(4) ^ 1)
     before = service.snapshot(sid)
@@ -340,8 +396,8 @@ def test_interrupted_run_decisions_match_uninterrupted(tmp_path):
 def test_corrupt_log_refused_with_offset(tmp_path):
     log = str(tmp_path / "bad.log")
     service, secret, sid = fresh_service(k=8, seed=21, log_path=log)
-    service.handle_verify(sid, valid_report(secret, 1))
-    service.handle_verify(sid, valid_report(secret, 2))
+    service.handle_verify(sid, *valid_report(secret, 1))
+    service.handle_verify(sid, *valid_report(secret, 2))
     service.close()
     lines = open(log).read().splitlines()
     lines[2] = lines[2].replace("OK", "REJECT:double-spend")
@@ -384,8 +440,7 @@ def test_failed_log_writes_in_a_row_leave_the_log_as_it_was(tmp_path):
     service._log.write = half_then_full
     line = f"VERIFY s1 3 {secret.block(3):x}"
     for _ in range(2):
-        with pytest.raises(OSError):
-            service.handle_line(line)
+        assert service.handle_line(line) == "ERROR unavailable"
         assert log.read_bytes() == before
     service._log.write = write
     assert service.handle_line(line) == "OK"
@@ -407,7 +462,7 @@ def test_register_refuses_bad_series_id_before_any_change(tmp_path, bad_id):
     log = tmp_path / "bank.log"
     service = bank.BankService(str(log))
     with pytest.raises(ValueError):
-        service.register_series(scheme.SecretString.random(4, rng_for(0)), bad_id)
+        service.register_series(scheme.SecretString.random(4, rng_for(0), bad_id))
     assert service.series_ids() == []
     service.close()
     assert log.read_bytes() == b""
@@ -424,7 +479,7 @@ def test_shared_report_accepted_exactly_once_under_contention():
 
     def worker():
         barrier.wait()
-        return [service.handle_verify(sid, rep).status for _ in range(20)]
+        return [service.handle_verify(sid, *rep).status for _ in range(20)]
 
     with ThreadPoolExecutor(max_workers=16) as pool:
         results = [s for f in [pool.submit(worker) for _ in range(16)] for s in f.result()]
@@ -439,7 +494,7 @@ def test_fresh_series_rounds_have_one_accept_each():
         sid = service.register_series(secret)
         rep = valid_report(secret, 1)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: service.handle_verify(sid, rep).status, range(8)))
+            results = list(pool.map(lambda _: service.handle_verify(sid, *rep).status, range(8)))
         assert results.count("OK") == 1
 
 
@@ -533,8 +588,11 @@ GOLDEN_LOG = (
     "VERIFY s2 6 05c4 REJECT:double-spend\n"
     "VERIFY s2 9 0833 OK\n"
     "DECODE s1 8 6 OK:0\n"
-    "VERIFY nope 2 15 ERROR:unknown-series\n"
 )
+
+# Before handle_verify answered an unknown series without a record, a direct
+# call logged one; logs that hold it still recover.
+GOLDEN_LOG_WITH_UNKNOWN_VERIFY = GOLDEN_LOG + "VERIFY nope 2 15 ERROR:unknown-series\n"
 
 GOLDEN_S1_STATE = {"attempts": 4, "accepted": 1, "pads_used": [24, 45, 71, 92, 118],
                    "tally": {1: 1, 0: 2}}
@@ -551,7 +609,7 @@ def test_golden_transcript_responses_and_log(tmp_path):
     service.register_series(GOLDEN_S1)
     service.register_series(GOLDEN_S2)
     responses = [(line, service.handle_line(line)) for line, _ in GOLDEN_TRANSCRIPT]
-    direct = service.handle_verify("nope", scheme.TokenReport(2, 5, 4))
+    direct = service.handle_verify("nope", 2, 5)  # not logged
     assert (direct.status, direct.reason) == ("ERROR", "unknown-series")
     assert series_state(service, "s1") == GOLDEN_S1_STATE
     service.close()
@@ -565,6 +623,15 @@ def test_golden_transcript_responses_and_log(tmp_path):
     recovered.close()
     with open(log, encoding="ascii", newline="") as fh:
         assert fh.read() == GOLDEN_LOG + "VERIFY s2 10 0958 OK\n"
+
+
+def test_log_with_an_unknown_series_verify_record_recovers(tmp_path):
+    log = tmp_path / "golden.log"
+    log.write_text(GOLDEN_LOG_WITH_UNKNOWN_VERIFY, encoding="ascii")
+    recovered = bank.BankService.recover(str(log), sync=False)
+    assert series_state(recovered, "s1") == GOLDEN_S1_STATE
+    assert recovered.handle_line("VERIFY s2 10 58") == "OK"
+    recovered.close()
 
 
 # -- model-based property test ------------------------------------------------------------
@@ -655,8 +722,9 @@ def test_service_matches_model_and_recovery_is_transparent(requests, data):
 
         # One log write stores half its record and fails with ENOSPC: the
         # SERIES record's (crash = -1) or the first logged request's from
-        # request ``crash`` on. The failed call raises and changes nothing, so
-        # every later response is the model's for the stream without it.
+        # request ``crash`` on. The failed request is answered ERROR
+        # unavailable and changes nothing, so every later response is the
+        # model's for the stream without it.
         crash = data.draw(st.integers(min_value=-1, max_value=len(lines) - 1), label="crash")
         log = os.path.join(tmp, "crash.log")
         service = bank.BankService(log_path=log, sync=False)
@@ -679,10 +747,10 @@ def test_service_matches_model_and_recovery_is_transparent(requests, data):
         sent, responses = [], []
         for j, (line, request) in enumerate(zip(lines, requests)):
             armed = armed or j == crash
-            try:
-                responses.append(service.handle_line(line))
-            except OSError:
+            response = service.handle_line(line)
+            if response == "ERROR unavailable":
                 continue
+            responses.append(response)
             sent.append(request)
         assert len(sent) >= len(lines) - 1
         expected, expected_tally = model_responses(MODEL_SECRET, cap, sent)

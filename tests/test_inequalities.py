@@ -5,6 +5,7 @@ same generators run smaller, plus the structured families where the
 inequalities are tight or degenerate.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_pattern_chain_relation_admits_crafted_counterexamples():
 def test_swap_chain_trivial_on_identical_registers():
     """Identical registers make every term of the chain inequality zero."""
     phi = core.random_state(2, stats.spawn_rng(3))
-    chi = core.tensor_all([phi, phi, phi])
+    chi = functools.reduce(core.tensor, [phi, phi, phi])
     layout = harness._CHAIN_LAYOUT
     assert core.swap_probability(chi, layout, "r1", "r2") <= 1e-9
     assert core.swap_probability(chi, layout, "r2", "r3") <= 1e-9
