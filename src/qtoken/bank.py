@@ -6,15 +6,24 @@ between the money, one-time-pad and voting flows: once a pair (I, R) has been
 submitted for verification or consumed as a pad, it can never authorize
 anything again.
 
-Durability comes from an append-only log with one record per decided
-request, written (and optionally fsynced) before the decision changes any
-state and before the response leaves the service. ``handle_verify`` logs only
-reports for a known series with an in-range pair; an unknown series or an
-out-of-range pair is answered without a record. A log write that fails is
-cut back and answered ``ERROR unavailable``, with nothing changed.
-Recovery replays the log through the same decision logic and refuses to
-start if any replayed decision disagrees with what was logged, which is how
-log corruption is detected.
+Every request goes through ``BankService.handle``, and the append-only log
+follows one rule: a request is logged if and only if its decision changes
+state. The record is written (and fsynced if ``sync``) before the change is
+applied and before the response leaves the service. A decision that changes
+nothing (an unknown series, a field out of range, ``budget-exhausted``,
+``reused-pad``, ``double-vote``) is answered without a record. That is safe:
+such an answer reads only state that was applied after its own record was
+written, so replaying the log rebuilds everything it depended on. A log write
+that fails is cut back and answered ``ERROR unavailable``, with nothing
+changed.
+
+Recovery replays every record through the same decision logic and refuses to
+start if a replayed decision disagrees with the logged one, which is how log
+corruption is detected; the no-change records of older logs replay to no
+change. Bytes after the last newline are a torn record, never answered
+because its write never finished: recovery cuts them off with a warning and
+never replays them. A bad record that ends in a newline is refused with its
+line and byte offset.
 
 Wire protocol (one ASCII request per line, whitespace-separated fields,
 binary payloads hex-encoded lowercase):
@@ -27,9 +36,10 @@ Log file format, one record per line:
 
     <verb> <series> <I> <payload_hex> <decision>
 
-where <payload_hex> is the report's wire form for VERIFY and the ciphertext
-otherwise, <decision> is OK, OK:<payload>, REJECT:<reason> or ERROR:<reason>,
-and series registrations are recorded as `SERIES <series> <k> <S_hex> OK`.
+where <payload_hex> is the report's 2k-bit wire form for VERIFY and the
+ciphertext otherwise, <decision> is OK, OK:<payload> or REJECT:<reason> (or
+ERROR:<reason> in older logs), and series registrations are recorded as
+`SERIES <series> <k> <S_hex> OK`.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from __future__ import annotations
 import os
 import socketserver
 import threading
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,10 +56,6 @@ from .scheme import Ledger, SchemeParams, SecretString, unwire, wire
 
 # Pad verbs and the rejection each gives for an already spent pair.
 _PAD_REJECTIONS = {"DECODE": "reused-pad", "VOTE": "double-vote"}
-
-
-def _unchanged() -> None:
-    """The change a decision that alters no state applies."""
 
 
 class CorruptLogError(RuntimeError):
@@ -87,8 +94,8 @@ class BankService:
     """Linearized verification, pad decoding and vote tallying over series.
 
     All mutations run under one lock, so concurrent clients see a single
-    serial order of decisions; with a log attached, every decision is
-    persisted before it is returned.
+    serial order of decisions; with a log attached, every decision that
+    changes state is persisted before it is applied or returned.
     """
 
     def __init__(self, log_path: str | None = None, sync: bool = True):
@@ -101,12 +108,21 @@ class BankService:
 
     @classmethod
     def recover(cls, log_path: str, sync: bool = True) -> BankService:
-        """Rebuild service state by replaying the log; verify every decision."""
+        """Rebuild service state by replaying the log; verify every decision.
+
+        A torn final record is cut off before the log is opened for append.
+        """
         service = cls(sync=sync)
         if os.path.exists(log_path):
             offset = 0
             with open(log_path, "rb") as fh:
                 for line_no, raw in enumerate(fh, start=1):
+                    if not raw.endswith(b"\n"):
+                        warnings.warn(
+                            f"{log_path}: cut {len(raw)} torn bytes at byte offset {offset}"
+                        )
+                        os.truncate(log_path, offset)
+                        break
                     service._replay(raw, line_no, offset)
                     offset += len(raw)
         service._log = open(log_path, "ab", buffering=0)
@@ -160,10 +176,6 @@ class BankService:
         with self._lock:
             return sorted(self._series)
 
-    def series_k(self, series_id: str) -> int | None:
-        rec = self._series.get(series_id)
-        return rec.ledger.k if rec else None
-
     def snapshot(self, series_id: str) -> dict:
         """Point-in-time view of one series, for tests and inspection."""
         with self._lock:
@@ -175,46 +187,42 @@ class BankService:
                 "tally": dict(rec.tally),
             }
 
-    def tally(self, series_id: str) -> dict[int, int]:
-        with self._lock:
-            return dict(self._series[series_id].tally)
-
     # -- decisions -------------------------------------------------------------
 
     def _decide(
         self, verb: str, rec: SeriesRecord | None, index: int, value: int
-    ) -> tuple[Decision, Callable[[], None]]:
+    ) -> tuple[Decision, Callable[[], None] | None]:
         """Decide one request without changing any state; callers hold the lock.
 
-        Returns the decision and the change that applies it, which callers run
-        only once the decision is logged. ``value`` is the report's wire form
-        for VERIFY and the ciphertext for DECODE and VOTE. A VERIFY wire that
-        disagrees with ``index`` can only come from a damaged log and raises
-        ``ValueError``.
+        ``value`` is the reported block for VERIFY and the ciphertext for DECODE
+        and VOTE. Returns the decision and the change that applies it, which
+        callers run only once the decision is logged, or None when the
+        decision changes nothing.
         """
         if verb != "VERIFY" and verb not in _PAD_REJECTIONS:
             raise ValueError(f"unknown verb {verb!r}")
         if rec is None:
-            return Decision("ERROR", "unknown-series"), _unchanged
+            return Decision("ERROR", "unknown-series"), None
         ledger, k = rec.ledger, rec.ledger.k
         if verb == "VERIFY":
-            wire_index, block = unwire(k, value)
-            if not 0 <= value < 1 << (2 * k) or wire_index != index:
-                raise ValueError("index does not match serialized report")
-            reason = ledger.check(index, block)
+            if not (1 <= index <= 1 << k and 0 <= value < 1 << k):
+                return Decision("REJECT", "bad-value"), None
+            reason = ledger.check(index, value)
+            if reason == "budget-exhausted":
+                return Decision("REJECT", reason), None
 
             def verify():
-                ledger.verify(index, block)
+                ledger.verify(index, value)
                 rec.accepted += reason is None
 
             return (Decision("REJECT", reason) if reason else Decision("OK")), verify
         if not 1 <= index <= 1 << k:
-            return Decision("ERROR", "bad-index"), _unchanged
+            return Decision("ERROR", "bad-index"), None
         if not 0 <= value < 1 << k:
-            return Decision("ERROR", "bad-payload"), _unchanged
+            return Decision("ERROR", "bad-payload"), None
         pad = ledger.pad(index)
         if pad is None:
-            return Decision("REJECT", _PAD_REJECTIONS[verb]), _unchanged
+            return Decision("REJECT", _PAD_REJECTIONS[verb]), None
 
         def spend():
             ledger.spend_pad(index)
@@ -225,38 +233,24 @@ class BankService:
             return Decision("OK"), spend
         return Decision("OK", payload=value ^ pad, payload_width=k // 4), spend
 
-    def _submit(self, verb: str, series_id: str, index: int, value: int) -> Decision:
-        """Decide, log, apply, reply: the one locked sequence behind every logged request.
+    def handle(self, verb: str, series_id: str, index: int, value: int) -> Decision:
+        """Decide one request, and log then apply it if it changes state.
 
-        A failed log write raises before anything changes. The logged hex field
-        is 2k bits wide for a VERIFY wire and k bits for a ciphertext (one digit
-        for an unknown series).
+        ``value`` is the reported block for VERIFY and the ciphertext for DECODE
+        and VOTE. A failed log write raises ``OSError`` before anything changes.
         """
         with self._lock:
             rec = self._series.get(series_id)
             decision, apply = self._decide(verb, rec, index, value)
-            width = rec.ledger.k // (2 if verb == "VERIFY" else 4) if rec else 1
-            self._append_log(verb, series_id, index, f"{value:0{width}x}", decision)
-            apply()
+            if apply is not None:
+                k = rec.ledger.k
+                if verb == "VERIFY":  # the record holds the pair's 2k-bit wire form
+                    payload = f"{wire(k, index, value):0{k // 2}x}"
+                else:
+                    payload = f"{value:0{k // 4}x}"
+                self._append_log(verb, series_id, index, payload, decision)
+                apply()
             return decision
-
-    # -- handlers ------------------------------------------------------------
-
-    def handle_verify(self, series_id: str, index: int, value: int) -> Decision:
-        """Decide one report (index, value); an unknown series or a pair out of
-        range is answered without a log record."""
-        k = self.series_k(series_id)
-        if k is None:
-            return Decision("ERROR", "unknown-series")
-        if not (1 <= index <= 1 << k and 0 <= value < 1 << k):
-            return Decision("REJECT", "bad-value")
-        return self._submit("VERIFY", series_id, index, wire(k, index, value))
-
-    def handle_decode(self, series_id: str, index: int, cipher: int) -> Decision:
-        return self._submit("DECODE", series_id, index, cipher)
-
-    def handle_vote(self, series_id: str, index: int, cipher: int) -> Decision:
-        return self._submit("VOTE", series_id, index, cipher)
 
     # -- wire protocol ---------------------------------------------------------
 
@@ -266,16 +260,9 @@ class BankService:
             return "ERROR bad-request"
         verb, series_id, index_s, payload_hex = parts
         try:
-            index = int(index_s)
-            payload = int(payload_hex, 16)
-        except ValueError:
+            return self.handle(verb, series_id, int(index_s), int(payload_hex, 16)).text()
+        except ValueError:  # a field that does not parse, or an unknown verb
             return "ERROR bad-request"
-        if verb != "VERIFY" and verb not in _PAD_REJECTIONS:
-            return "ERROR bad-request"
-        try:
-            if verb == "VERIFY":
-                return self.handle_verify(series_id, index, payload).text()
-            return self._submit(verb, series_id, index, payload).text()
         except OSError:  # the log write failed and was cut back: nothing changed
             return "ERROR unavailable"
 
@@ -294,7 +281,14 @@ class BankService:
                 decision, apply = Decision("OK"), self._register(secret, series_id)
             else:
                 rec = self._series.get(series_id)
-                decision, apply = self._decide(verb, rec, int(index_s), int(payload, 16))
+                index, value = int(index_s), int(payload, 16)
+                if verb == "VERIFY" and rec is not None:  # the record holds the wire form
+                    k = rec.ledger.k
+                    wire_index, block = unwire(k, value)
+                    if not 0 <= value < 1 << (2 * k) or wire_index != index:
+                        raise ValueError("index does not match serialized report")
+                    value = block
+                decision, apply = self._decide(verb, rec, index, value)
         except Exception as exc:
             raise CorruptLogError(f"unreplayable record: {exc}", line_no, byte_offset)
         if decision.text(":") != logged:
@@ -303,7 +297,8 @@ class BankService:
                 line_no,
                 byte_offset,
             )
-        apply()
+        if apply is not None:
+            apply()
 
 
 # -- socket front end ------------------------------------------------------------

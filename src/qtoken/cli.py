@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import harness, scheme, stats
-from .bank import BankServer, BankService
+from .bank import BankServer, BankService, CorruptLogError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,8 +81,19 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _recover(log: str, sync: bool = True) -> BankService | None:
+    """Replay ``log`` into a service; on a corrupt log, print why and return None."""
+    try:
+        return BankService.recover(log, sync=sync)
+    except CorruptLogError as exc:
+        print(f"cannot recover {log}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_serve(args) -> int:
-    service = BankService.recover(args.log, sync=not args.no_sync)
+    service = _recover(args.log, sync=not args.no_sync)
+    if service is None:
+        return 2
     server = BankServer(service, args.socket)
     known = service.series_ids()
     print(f"recovered {len(known)} series from {args.log}", file=sys.stderr)
@@ -105,7 +116,9 @@ def _cmd_mint(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    service = BankService.recover(args.log)
+    service = _recover(args.log)
+    if service is None:
+        return 2
     rng = stats.spawn_rng(args.seed)
     series_id = args.series or f"series-{args.seed}"
     secret = scheme.SecretString.random(args.k, rng, series_id)

@@ -70,13 +70,6 @@ class SparseState:
         self.num_qubits = num_qubits
         self.amplitudes = amps
 
-    @classmethod
-    def basis(cls, num_qubits: int, index: int) -> SparseState:
-        return cls(num_qubits, {index: 1.0})
-
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
     def dense(self) -> np.ndarray:
         vec = np.zeros(1 << self.num_qubits, dtype=complex)
         for i, a in self.amplitudes.items():
@@ -123,9 +116,6 @@ class RegisterLayout:
 
     def width(self, name: str) -> int:
         return self._fields[name][1]
-
-    def offset(self, name: str) -> int:
-        return self._fields[name][0]
 
     def shift(self, name: str) -> int:
         """Right-shift that brings this register's bits to the low end."""

@@ -211,7 +211,7 @@ def _run_honest_flow(spec: ScenarioSpec) -> ExperimentResult:
         sid = service.register_series(secret)
         token = scheme.mint(secret, 1)[0]
         index, value = scheme.report(token, rng)
-        accepted += service.handle_verify(sid, index, value).status == "OK"
+        accepted += service.handle("VERIFY", sid, index, value).status == "OK"
         valid += secret.block(index) == value
         index_counts[index - 1] += 1
     stat, crit, _ = stats.uniformity_passes(index_counts)
@@ -397,9 +397,9 @@ def _run_otp(spec: ScenarioSpec) -> ExperimentResult:
         message = int(rng.integers(0, size))
         pad = secret.block(index)  # the holder knows R from measuring the token
         cipher = pad ^ message
-        decision = service.handle_decode(sid, index, cipher)
+        decision = service.handle("DECODE", sid, index, cipher)
         roundtrips += decision.status == "OK" and decision.payload == message
-        again = service.handle_decode(sid, index, cipher)
+        again = service.handle("DECODE", sid, index, cipher)
         reuse_rejected += again.status == "REJECT"
     metrics = (
         _rate_metric("roundtrip_identity", roundtrips, trials, 1.0,
@@ -429,14 +429,14 @@ def _run_voting(spec: ScenarioSpec) -> ExperimentResult:
         index = int(indices[t]) + 1
         choice = int(rng.integers(0, 2))
         pad = secret.block(index)
-        decision = service.handle_vote(sid, index, pad ^ choice)
+        decision = service.handle("VOTE", sid, index, pad ^ choice)
         accepted += decision.status == "OK"
         cast.append(choice)
         if t % 10 == 0:  # every tenth voter tries to vote twice with the same pad
             double_votes += 1
-            again = service.handle_vote(sid, index, pad ^ (1 - choice))
+            again = service.handle("VOTE", sid, index, pad ^ (1 - choice))
             double_rejected += again.status == "REJECT"
-    tally = service.tally(sid)
+    tally = service.snapshot(sid)["tally"]
     expected_tally = {c: cast.count(c) for c in set(cast)}
     metrics = (
         _rate_metric("votes_accepted", accepted, voters, 1.0,

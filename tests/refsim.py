@@ -13,7 +13,7 @@ import numpy as np
 
 
 def register_axes(layout, name) -> list[int]:
-    start = layout.offset(name)
+    start = sum(layout.width(n) for n in layout.names[: layout.names.index(name)])
     return list(range(start, start + layout.width(name)))
 
 

@@ -178,7 +178,7 @@ def test_criterion_7_service_safety(tmp_path):
 
     def worker(n_requests):
         barrier.wait()
-        return [service.handle_verify(sid, *pair).status for _ in range(n_requests)]
+        return [service.handle("VERIFY", sid, *pair).status for _ in range(n_requests)]
 
     shares = [1000 // 32 + (1 if i < 1000 % 32 else 0) for i in range(32)]
     with ThreadPoolExecutor(max_workers=32) as pool:
@@ -216,9 +216,9 @@ def test_criterion_7_service_safety(tmp_path):
     sid3 = svc_c.register_series(secret3)
     cap = scheme.SchemeParams.for_k(4).cap_test
     for i in range(1, cap + 1):
-        decision = svc_c.handle_verify(sid3, i, secret3.block(i))
+        decision = svc_c.handle("VERIFY", sid3, i, secret3.block(i))
         assert decision.status == "OK"
-    over = svc_c.handle_verify(sid3, 5, secret3.block(5))
+    over = svc_c.handle("VERIFY", sid3, 5, secret3.block(5))
     budget_exact = (
         over.reason == "budget-exhausted" and svc_c.snapshot(sid3)["attempts"] == cap
     )

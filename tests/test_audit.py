@@ -47,7 +47,7 @@ def test_orthogonal_token_flagged_half_the_time():
     # A basis state outside the token support is orthogonal to the pattern.
     support = set(pattern.amplitudes)
     outside = next(i for i in range(1 << (2 * k)) if i not in support)
-    bogus = core.SparseState.basis(2 * k, outside)
+    bogus = core.SparseState(2 * k, {outside: 1.0})
     joint = core.tensor(pattern, bogus)
     layout = core.RegisterLayout([("pattern", 2 * k), ("t1", 2 * k)])
     assert abs(audit.cheat_probability(joint, layout, "pattern", "t1") - 0.5) <= 1e-9
@@ -79,7 +79,7 @@ def test_loaded_token_detection_rate():
 
 
 def test_audit_outcome_invariant():
-    state = core.SparseState.basis(2, 0)
+    state = core.SparseState(2, {0: 1.0})
     with pytest.raises(ValueError):
         audit.AuditOutcome(True, (1, 0), state)
     with pytest.raises(ValueError):
@@ -109,7 +109,7 @@ def test_chain_aborts_on_orthogonal_register():
     secret, _, _ = honest_joint(k, seed=9, extra_tokens=0)
     token = scheme.token_state(secret)
     outside = next(i for i in range(1 << (2 * k)) if i not in token.amplitudes)
-    bogus = core.SparseState.basis(2 * k, outside)
+    bogus = core.SparseState(2 * k, {outside: 1.0})
     joint = functools.reduce(core.tensor, [token, token, bogus])
     layout = core.RegisterLayout([("p", 2), ("t1", 2), ("t2", 2)])
     p_first = core.swap_probability(joint, layout, "p", "t2")
@@ -214,7 +214,7 @@ def test_anonymity_gap_random_instances():
 
 def test_anonymity_gap_width_mismatch():
     layout = core.RegisterLayout([("r0", 1), ("r1", 2), ("r2", 3)])
-    chi = core.SparseState.basis(6, 0)
+    chi = core.SparseState(6, {0: 1.0})
     with pytest.raises(ValueError):
         audit.anonymity_gap(chi, layout, "r0", "r1", "r2")
 

@@ -5,6 +5,7 @@ import os
 import socket
 import tempfile
 import threading
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -62,21 +63,21 @@ class LineClient:
 def test_verify_accept_then_double_spend():
     service, secret, sid = fresh_service()
     rep = valid_report(secret, 3)
-    assert service.handle_verify(sid, *rep).status == "OK"
-    again = service.handle_verify(sid, *rep)
+    assert service.handle("VERIFY", sid, *rep).status == "OK"
+    again = service.handle("VERIFY", sid, *rep)
     assert (again.status, again.reason) == ("REJECT", "double-spend")
 
 
 def test_verify_bad_value():
     service, secret, sid = fresh_service()
     bad = (3, secret.block(3) ^ 1)
-    decision = service.handle_verify(sid, *bad)
+    decision = service.handle("VERIFY", sid, *bad)
     assert (decision.status, decision.reason) == ("REJECT", "bad-value")
 
 
 def test_verify_unknown_series():
     service, secret, _ = fresh_service()
-    decision = service.handle_verify("nope", *valid_report(secret))
+    decision = service.handle("VERIFY", "nope", *valid_report(secret))
     assert (decision.status, decision.reason) == ("ERROR", "unknown-series")
 
 
@@ -85,19 +86,47 @@ def test_verify_out_of_range_pair_is_an_unlogged_reject(tmp_path):
     service, _, sid = fresh_service(log_path=str(log))  # k = 4
     logged = log.read_bytes()
     for index, value in ((17, 0), (1, 16)):
-        decision = service.handle_verify(sid, index, value)
+        decision = service.handle("VERIFY", sid, index, value)
         assert (decision.status, decision.reason) == ("REJECT", "bad-value")
     assert log.read_bytes() == logged
     assert service.snapshot(sid)["attempts"] == 0
     service.close()
 
 
+def test_requests_that_change_nothing_leave_the_log_as_it_was(tmp_path):
+    log = tmp_path / "bank.log"
+    service, secret, sid = fresh_service(log_path=str(log))  # k = 4, cap_test = 4
+    for i in range(1, 5):
+        assert service.handle("VERIFY", sid, i, secret.block(i)).status == "OK"
+    assert service.handle_line("DECODE s1 5 0").startswith("OK")
+    assert service.handle_line("VOTE s1 6 0") == "OK"
+    logged, state = log.read_bytes(), service.snapshot(sid)
+    for line, response in [
+        ("VERIFY nope 1 0", "ERROR unknown-series"),
+        ("DECODE nope 1 0", "ERROR unknown-series"),
+        ("VOTE nope 1 0", "ERROR unknown-series"),
+        ("VERIFY s1 17 0", "REJECT bad-value"),
+        ("VERIFY s1 7 10", "REJECT bad-value"),
+        ("DECODE s1 0 0", "ERROR bad-index"),
+        ("DECODE s1 7 10", "ERROR bad-payload"),
+        ("VOTE s1 17 0", "ERROR bad-index"),
+        ("VOTE s1 7 -1", "ERROR bad-payload"),
+        (f"VERIFY s1 7 {secret.block(7):x}", "REJECT budget-exhausted"),
+        ("DECODE s1 5 0", "REJECT reused-pad"),
+        ("VOTE s1 6 0", "REJECT double-vote"),
+    ]:
+        assert service.handle_line(line) == response
+        assert log.read_bytes() == logged
+    assert service.snapshot(sid) == state
+    service.close()
+
+
 def test_verify_budget_enforced_exactly():
     service, secret, sid = fresh_service()  # cap_test = 4 at k = 4
     for i in range(1, 5):
-        decision = service.handle_verify(sid, *valid_report(secret, i))
+        decision = service.handle("VERIFY", sid, *valid_report(secret, i))
         assert decision.status == "OK"
-    over = service.handle_verify(sid, *valid_report(secret, 5))
+    over = service.handle("VERIFY", sid, *valid_report(secret, 5))
     assert (over.status, over.reason) == ("REJECT", "budget-exhausted")
     snap = service.snapshot(sid)
     assert snap["attempts"] == 4 and snap["accepted"] == 4
@@ -107,8 +136,8 @@ def test_rejected_submissions_count_against_budget():
     service, secret, sid = fresh_service()
     bad = (1, secret.block(1) ^ 1)
     for _ in range(4):
-        assert service.handle_verify(sid, *bad).reason in ("bad-value", "double-spend")
-    assert service.handle_verify(sid, *valid_report(secret, 2)).reason == "budget-exhausted"
+        assert service.handle("VERIFY", sid, *bad).reason in ("bad-value", "double-spend")
+    assert service.handle("VERIFY", sid, *valid_report(secret, 2)).reason == "budget-exhausted"
 
 
 def test_accepts_never_exceed_distinct_valid_pairs():
@@ -118,7 +147,7 @@ def test_accepts_never_exceed_distinct_valid_pairs():
     for _ in range(scheme.SchemeParams.for_k(8).cap_test):
         rep = (int(rng.integers(1, 257)), int(rng.integers(0, 256)))
         submitted.append(rep)
-        service.handle_verify(sid, *rep)
+        service.handle("VERIFY", sid, *rep)
     distinct_valid = len({(i, v) for i, v in submitted if secret.block(i) == v})
     assert service.snapshot(sid)["accepted"] <= distinct_valid
 
@@ -130,47 +159,47 @@ def test_decode_roundtrip_and_zero_cipher():
     service, secret, sid = fresh_service(k=8, seed=5)
     message = 0b10110100
     pad = secret.block(7)
-    decision = service.handle_decode(sid, 7, pad ^ message)
+    decision = service.handle("DECODE", sid, 7, pad ^ message)
     assert decision.status == "OK" and decision.payload == message
-    zero = service.handle_decode(sid, 9, secret.block(9))
+    zero = service.handle("DECODE", sid, 9, secret.block(9))
     assert zero.status == "OK" and zero.payload == 0
 
 
 def test_decode_consumes_the_pad():
     service, secret, sid = fresh_service(k=8, seed=6)
     pad = secret.block(2)
-    assert service.handle_decode(sid, 2, pad ^ 0x5A).status == "OK"
-    again = service.handle_decode(sid, 2, pad ^ 0x33)
+    assert service.handle("DECODE", sid, 2, pad ^ 0x5A).status == "OK"
+    again = service.handle("DECODE", sid, 2, pad ^ 0x33)
     assert (again.status, again.reason) == ("REJECT", "reused-pad")
 
 
 def test_money_and_pad_flows_share_freshness():
     service, secret, sid = fresh_service(k=8, seed=7)
     # decode first, same pair can no longer pass verification
-    service.handle_decode(sid, 4, secret.block(4))
-    verify = service.handle_verify(sid, *valid_report(secret, 4))
+    service.handle("DECODE", sid, 4, secret.block(4))
+    verify = service.handle("VERIFY", sid, *valid_report(secret, 4))
     assert (verify.status, verify.reason) == ("REJECT", "double-spend")
     # verify first, pad is burned for decoding
-    assert service.handle_verify(sid, *valid_report(secret, 5)).status == "OK"
-    decode = service.handle_decode(sid, 5, secret.block(5))
+    assert service.handle("VERIFY", sid, *valid_report(secret, 5)).status == "OK"
+    decode = service.handle("DECODE", sid, 5, secret.block(5))
     assert (decode.status, decode.reason) == ("REJECT", "reused-pad")
 
 
 def test_decode_index_out_of_range():
     service, _, sid = fresh_service(k=8, seed=8)
-    decision = service.handle_decode(sid, 257, 0)
+    decision = service.handle("DECODE", sid, 257, 0)
     assert (decision.status, decision.reason) == ("ERROR", "bad-index")
 
 
 def test_vote_tally_and_double_vote():
     service, secret, sid = fresh_service(k=8, seed=9)
-    assert service.handle_vote(sid, 1, secret.block(1) ^ 1).status == "OK"
-    assert service.handle_vote(sid, 2, secret.block(2) ^ 0).status == "OK"
-    assert service.handle_vote(sid, 3, secret.block(3) ^ 1).status == "OK"
-    assert service.tally(sid) == {1: 2, 0: 1}
-    double = service.handle_vote(sid, 1, secret.block(1) ^ 0)
+    assert service.handle("VOTE", sid, 1, secret.block(1) ^ 1).status == "OK"
+    assert service.handle("VOTE", sid, 2, secret.block(2) ^ 0).status == "OK"
+    assert service.handle("VOTE", sid, 3, secret.block(3) ^ 1).status == "OK"
+    assert service.snapshot(sid)["tally"] == {1: 2, 0: 1}
+    double = service.handle("VOTE", sid, 1, secret.block(1) ^ 0)
     assert (double.status, double.reason) == ("REJECT", "double-vote")
-    assert service.tally(sid) == {1: 2, 0: 1}
+    assert service.snapshot(sid)["tally"] == {1: 2, 0: 1}
 
 
 def test_vote_payload_decodes_to_cast_choice():
@@ -178,8 +207,8 @@ def test_vote_payload_decodes_to_cast_choice():
     rng = rng_for(11)
     choices = [int(rng.integers(0, 256)) for _ in range(20)]
     for i, choice in enumerate(choices, start=1):
-        assert service.handle_vote(sid, i, secret.block(i) ^ choice).status == "OK"
-    tally = service.tally(sid)
+        assert service.handle("VOTE", sid, i, secret.block(i) ^ choice).status == "OK"
+    tally = service.snapshot(sid)["tally"]
     assert sum(tally.values()) == len(choices)
     for choice in choices:
         assert tally[choice] == choices.count(choice)
@@ -320,11 +349,11 @@ def test_recovery_preserves_double_spend(tmp_path):
     log = str(tmp_path / "bank.log")
     service, secret, sid = fresh_service(k=8, seed=16, log_path=log)
     rep = valid_report(secret, 3)
-    assert service.handle_verify(sid, *rep).status == "OK"
+    assert service.handle("VERIFY", sid, *rep).status == "OK"
     service.close()  # crash between the two duplicate submissions
 
     recovered = bank.BankService.recover(log)
-    decision = recovered.handle_verify(sid, *rep)
+    decision = recovered.handle("VERIFY", sid, *rep)
     assert (decision.status, decision.reason) == ("REJECT", "double-spend")
     recovered.close()
 
@@ -337,7 +366,7 @@ def test_recovery_of_empty_and_single_entry_logs(tmp_path):
 
     log2 = str(tmp_path / "one.log")
     service, secret, sid = fresh_service(k=8, seed=17, log_path=log2)
-    service.handle_verify(sid, *valid_report(secret, 1))
+    service.handle("VERIFY", sid, *valid_report(secret, 1))
     service.close()
     recovered = bank.BankService.recover(log2)
     snap = recovered.snapshot(sid)
@@ -348,10 +377,10 @@ def test_recovery_of_empty_and_single_entry_logs(tmp_path):
 def test_recovery_restores_full_state(tmp_path):
     log = str(tmp_path / "full.log")
     service, secret, sid = fresh_service(k=8, seed=18, log_path=log)
-    service.handle_verify(sid, *valid_report(secret, 1))
-    service.handle_verify(sid, 2, secret.block(2) ^ 1)
-    service.handle_decode(sid, 3, secret.block(3) ^ 0x7E)
-    service.handle_vote(sid, 4, secret.block(4) ^ 1)
+    service.handle("VERIFY", sid, *valid_report(secret, 1))
+    service.handle("VERIFY", sid, 2, secret.block(2) ^ 1)
+    service.handle("DECODE", sid, 3, secret.block(3) ^ 0x7E)
+    service.handle("VOTE", sid, 4, secret.block(4) ^ 1)
     before = service.snapshot(sid)
     service.close()
     recovered = bank.BankService.recover(log)
@@ -396,8 +425,8 @@ def test_interrupted_run_decisions_match_uninterrupted(tmp_path):
 def test_corrupt_log_refused_with_offset(tmp_path):
     log = str(tmp_path / "bad.log")
     service, secret, sid = fresh_service(k=8, seed=21, log_path=log)
-    service.handle_verify(sid, *valid_report(secret, 1))
-    service.handle_verify(sid, *valid_report(secret, 2))
+    service.handle("VERIFY", sid, *valid_report(secret, 1))
+    service.handle("VERIFY", sid, *valid_report(secret, 2))
     service.close()
     lines = open(log).read().splitlines()
     lines[2] = lines[2].replace("OK", "REJECT:double-spend")
@@ -479,7 +508,7 @@ def test_shared_report_accepted_exactly_once_under_contention():
 
     def worker():
         barrier.wait()
-        return [service.handle_verify(sid, *rep).status for _ in range(20)]
+        return [service.handle("VERIFY", sid, *rep).status for _ in range(20)]
 
     with ThreadPoolExecutor(max_workers=16) as pool:
         results = [s for f in [pool.submit(worker) for _ in range(16)] for s in f.result()]
@@ -494,7 +523,7 @@ def test_fresh_series_rounds_have_one_accept_each():
         sid = service.register_series(secret)
         rep = valid_report(secret, 1)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: service.handle_verify(sid, *rep).status, range(8)))
+            results = list(pool.map(lambda _: service.handle("VERIFY", sid, *rep).status, range(8)))
         assert results.count("OK") == 1
 
 
@@ -504,15 +533,15 @@ GOLDEN_S1 = scheme.SecretString(4, [(5 * i + 3) % 16 for i in range(16)], "s1")
 GOLDEN_S2 = scheme.SecretString(8, [(37 * i + 11) % 256 for i in range(256)], "s2")
 
 # Every verb x decision, malformed lines, unknown series and out-of-range VERIFY
-# fields. s1 has k = 4 (cap_test = 4, blocks 3, 8, 13, 2, 7, 12, 1, 6, ...);
+# fields; only decisions that change state are logged. s1 has k = 4 (cap_test = 4, blocks 3, 8, 13, 2, 7, 12, 1, 6, ...);
 # s2 has k = 8 (blocks 5-9 are 9f, c4, e9, 0e, 33).
 GOLDEN_TRANSCRIPT = [
     ("VERIFY s1 1 3", "OK"),
     ("VERIFY s1 1 3", "REJECT double-spend"),
     ("VERIFY s1 2 9", "REJECT bad-value"),
-    ("VERIFY s1 17 0", "REJECT bad-value"),  # out of range: not logged
-    ("VERIFY s1 2 1f", "REJECT bad-value"),  # out of range: not logged
-    ("VERIFY nope 1 00", "ERROR unknown-series"),  # not logged
+    ("VERIFY s1 17 0", "REJECT bad-value"),  # out of range
+    ("VERIFY s1 2 1f", "REJECT bad-value"),  # out of range
+    ("VERIFY nope 1 00", "ERROR unknown-series"),
     ("DECODE s1 3 a", "OK 7"),
     ("VERIFY s1 3 d", "REJECT double-spend"),  # the pad spent the pair
     ("VERIFY s1 4 2", "REJECT budget-exhausted"),
@@ -522,14 +551,14 @@ GOLDEN_TRANSCRIPT = [
     ("DECODE s1 17 0", "ERROR bad-index"),
     ("DECODE s1 5 10", "ERROR bad-payload"),
     ("DECODE s1 5 -1", "ERROR bad-payload"),
-    ("DECODE nope 2 ab", "ERROR unknown-series"),  # logged
+    ("DECODE nope 2 ab", "ERROR unknown-series"),
     ("VOTE s1 5 6", "OK"),
     ("VOTE s1 5 7", "REJECT double-vote"),
     ("VOTE s1 6 c", "OK"),
     ("VOTE s1 2 8", "OK"),  # the rejected (2, 9) report spent another pair
     ("VOTE s1 99 0", "ERROR bad-index"),
     ("VOTE s1 7 ff", "ERROR bad-payload"),
-    ("VOTE nope 1 0", "ERROR unknown-series"),  # logged
+    ("VOTE nope 1 0", "ERROR unknown-series"),
     ("VOTE s1 1 0", "REJECT double-vote"),
     ("VERIFY s2 5 9f", "OK"),
     ("DECODE s2 6 f8", "OK 3c"),
@@ -549,6 +578,37 @@ GOLDEN_TRANSCRIPT = [
 ]
 
 GOLDEN_LOG = (
+    "SERIES s1 4 38d27c16b05af49e OK\n"
+    "SERIES s2 8 "
+    "0b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e83a8cdf2173c6186"
+    "abd0f51a3f6489aed3f81d42678cb1d6fb20456a8fb4d9fe23486d92b7dc0126"
+    "4b7095badf04294e7398bde2072c51769bc0e50a2f54799ec3e80d32577ca1c6"
+    "eb10355a7fa4c9ee13385d82a7ccf1163b6085aacff4193e6388add2f71c4166"
+    "8bb0d5fa1f44698eb3d8fd22476c91b6db00254a6f94b9de03284d7297bce106"
+    "2b50759abfe4092e53789dc2e70c31567ba0c5ea0f34597ea3c8ed12375c81a6"
+    "cbf0153a5f84a9cef3183d6287acd1f61b40658aafd4f91e43688db2d7fc2146"
+    "6b90b5daff24496e93b8dd02274c7196bbe0052a4f7499bee3082d52779cc1e6"
+    " OK\n"
+    "VERIFY s1 1 03 OK\n"
+    "VERIFY s1 1 03 REJECT:double-spend\n"
+    "VERIFY s1 2 19 REJECT:bad-value\n"
+    "DECODE s1 3 a OK:7\n"
+    "VERIFY s1 3 2d REJECT:double-spend\n"
+    "VOTE s1 5 6 OK\n"
+    "VOTE s1 6 c OK\n"
+    "VOTE s1 2 8 OK\n"
+    "VERIFY s2 5 049f OK\n"
+    "DECODE s2 6 f8 OK:3c\n"
+    "DECODE s2 7 e9 OK:00\n"
+    "VOTE s2 8 ab OK\n"
+    "VERIFY s2 6 05c4 REJECT:double-spend\n"
+    "VERIFY s2 9 0833 OK\n"
+    "DECODE s1 8 6 OK:0\n"
+)
+
+# The same transcript's log from before requests that change nothing went
+# unlogged: it holds 13 more records, and such logs still recover.
+PRE_CHANGE_GOLDEN_LOG = (
     "SERIES s1 4 38d27c16b05af49e OK\n"
     "SERIES s2 8 "
     "0b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e83a8cdf2173c6186"
@@ -590,9 +650,8 @@ GOLDEN_LOG = (
     "DECODE s1 8 6 OK:0\n"
 )
 
-# Before handle_verify answered an unknown series without a record, a direct
-# call logged one; logs that hold it still recover.
-GOLDEN_LOG_WITH_UNKNOWN_VERIFY = GOLDEN_LOG + "VERIFY nope 2 15 ERROR:unknown-series\n"
+# Older still, a direct unknown-series VERIFY call was logged too.
+GOLDEN_LOG_WITH_UNKNOWN_VERIFY = PRE_CHANGE_GOLDEN_LOG + "VERIFY nope 2 15 ERROR:unknown-series\n"
 
 GOLDEN_S1_STATE = {"attempts": 4, "accepted": 1, "pads_used": [24, 45, 71, 92, 118],
                    "tally": {1: 1, 0: 2}}
@@ -609,7 +668,7 @@ def test_golden_transcript_responses_and_log(tmp_path):
     service.register_series(GOLDEN_S1)
     service.register_series(GOLDEN_S2)
     responses = [(line, service.handle_line(line)) for line, _ in GOLDEN_TRANSCRIPT]
-    direct = service.handle_verify("nope", 2, 5)  # not logged
+    direct = service.handle("VERIFY", "nope", 2, 5)  # not logged
     assert (direct.status, direct.reason) == ("ERROR", "unknown-series")
     assert series_state(service, "s1") == GOLDEN_S1_STATE
     service.close()
@@ -626,12 +685,14 @@ def test_golden_transcript_responses_and_log(tmp_path):
 
 
 def test_log_with_an_unknown_series_verify_record_recovers(tmp_path):
-    log = tmp_path / "golden.log"
-    log.write_text(GOLDEN_LOG_WITH_UNKNOWN_VERIFY, encoding="ascii")
-    recovered = bank.BankService.recover(str(log), sync=False)
-    assert series_state(recovered, "s1") == GOLDEN_S1_STATE
-    assert recovered.handle_line("VERIFY s2 10 58") == "OK"
-    recovered.close()
+    """Logs written with records that change nothing recover to the same state."""
+    for text in (PRE_CHANGE_GOLDEN_LOG, GOLDEN_LOG_WITH_UNKNOWN_VERIFY):
+        log = tmp_path / "golden.log"
+        log.write_text(text, encoding="ascii")
+        recovered = bank.BankService.recover(str(log), sync=False)
+        assert series_state(recovered, "s1") == GOLDEN_S1_STATE
+        assert recovered.handle_line("VERIFY s2 10 58") == "OK"
+        recovered.close()
 
 
 # -- model-based property test ------------------------------------------------------------
@@ -640,8 +701,9 @@ MODEL_K = 4  # cap_test = 4 and 16 indices, so budgets run out and pairs collide
 
 
 def model_responses(secret, cap, requests):
-    """What the service must answer, from sets and counters only."""
-    spent, tally, attempts, out = set(), Counter(), 0, []
+    """What the service must answer, from sets and counters only, and how
+    many of the requests change state."""
+    spent, tally, attempts, out, changes = set(), Counter(), 0, [], 0
     for verb, sid, index, value in requests:
         if sid != secret.series_id:
             out.append("ERROR unknown-series")
@@ -652,6 +714,7 @@ def model_responses(secret, cap, requests):
                 out.append("REJECT budget-exhausted")
             else:
                 attempts += 1
+                changes += 1
                 fresh = (index, value) not in spent
                 spent.add((index, value))
                 if secret.block(index) != value:
@@ -667,12 +730,13 @@ def model_responses(secret, cap, requests):
         else:
             pad = secret.block(index)
             spent.add((index, pad))
+            changes += 1
             if verb == "VOTE":
                 tally[value ^ pad] += 1
                 out.append("OK")
             else:
                 out.append(f"OK {value ^ pad:x}")
-    return out, dict(tally)
+    return out, dict(tally), changes
 
 
 MODEL_SECRET = scheme.SecretString.random(MODEL_K, rng_for(31), "m1")
@@ -699,14 +763,16 @@ request_strategy = st.builds(
 def test_service_matches_model_and_recovery_is_transparent(requests, data):
     cap = scheme.SchemeParams.for_k(MODEL_K).cap_test
     lines = [f"{verb} {sid} {index} {value:x}" for verb, sid, index, value in requests]
-    expected, expected_tally = model_responses(MODEL_SECRET, cap, requests)
+    expected, expected_tally, changes = model_responses(MODEL_SECRET, cap, requests)
     split = data.draw(st.integers(min_value=0, max_value=len(lines)), label="split")
     with tempfile.TemporaryDirectory() as tmp:
         whole = bank.BankService(log_path=os.path.join(tmp, "whole.log"), sync=False)
         whole.register_series(MODEL_SECRET)
         assert [whole.handle_line(line) for line in lines] == expected
-        assert whole.tally("m1") == expected_tally
+        assert whole.snapshot("m1")["tally"] == expected_tally
         whole.close()
+        with open(os.path.join(tmp, "whole.log"), "rb") as fh:
+            assert len(fh.readlines()) == 1 + changes  # the SERIES record, then one per change
 
         log = os.path.join(tmp, "split.log")
         first = bank.BankService(log_path=log, sync=False)
@@ -753,11 +819,64 @@ def test_service_matches_model_and_recovery_is_transparent(requests, data):
             responses.append(response)
             sent.append(request)
         assert len(sent) >= len(lines) - 1
-        expected, expected_tally = model_responses(MODEL_SECRET, cap, sent)
+        expected, expected_tally, changes = model_responses(MODEL_SECRET, cap, sent)
         assert responses == expected
-        assert service.tally("m1") == expected_tally
+        assert service.snapshot("m1")["tally"] == expected_tally
         snapshot = service.snapshot("m1")
         service.close()
+        with open(log, "rb") as fh:
+            assert len(fh.readlines()) == 1 + changes
         recovered = bank.BankService.recover(log, sync=False)
         assert recovered.snapshot("m1") == snapshot
         recovered.close()
+
+
+OTHER_SECRET = scheme.SecretString.random(MODEL_K, rng_for(32), "m2")
+
+
+def all_states(service):
+    return {sid: service.snapshot(sid) for sid in service.series_ids()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(request_strategy, max_size=40), st.data())
+def test_log_cut_at_any_byte_recovers_its_complete_records(requests, data):
+    """Bytes after the last newline are a torn record: recovery cuts them off
+    with a warning and never replays them, and the log recovers again after
+    more records are appended."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "bank.log")
+        service = bank.BankService(log_path=log, sync=False)
+        service.register_series(MODEL_SECRET)
+        for verb, sid, index, value in requests:
+            service.handle_line(f"{verb} {sid} {index} {value:x}")
+        service.close()
+        with open(log, "rb") as fh:
+            text = fh.read()
+        cut = data.draw(st.integers(min_value=0, max_value=len(text)), label="cut")
+        complete = text[: text.rfind(b"\n", 0, cut) + 1]
+        prefix = os.path.join(tmp, "prefix.log")
+        with open(prefix, "wb") as fh:
+            fh.write(complete)
+        replayed = bank.BankService.recover(prefix, sync=False)
+        expected = all_states(replayed)
+        replayed.close()
+
+        os.truncate(log, cut)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            service = bank.BankService.recover(log, sync=False)
+        torn = cut - len(complete)
+        assert [str(w.message) for w in caught] == (
+            [f"{log}: cut {torn} torn bytes at byte offset {len(complete)}"] if torn else []
+        )
+        assert all_states(service) == expected
+        service.register_series(OTHER_SECRET)
+        assert service.handle("VERIFY", "m2", 1, OTHER_SECRET.block(1)).status == "OK"
+        after = all_states(service)
+        service.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = bank.BankService.recover(log, sync=False)
+        assert all_states(again) == after
+        again.close()

@@ -71,3 +71,16 @@ def test_mint_refuses_negative_reports_before_creating_the_log(tmp_path, capsys)
     assert cli.main(["mint", "--log", str(log), "--k", "8", "--reports", "-1"]) == 2
     assert "--reports" in capsys.readouterr().err
     assert not log.exists()
+
+
+@pytest.mark.parametrize("command", ["mint", "serve"])
+def test_corrupt_log_is_reported_without_a_traceback(tmp_path, capsys, command):
+    log = tmp_path / "bank.log"
+    log.write_text("VERIFY s1 1 00 OK\n")
+    socket_args = ["--socket", str(tmp_path / "bank.sock")] if command == "serve" else []
+    assert cli.main([command, "--log", str(log), *socket_args]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot recover {log}: replayed decision ERROR:unknown-series != logged OK "
+        "(line 1, byte offset 0)\n"
+    )
+    assert log.read_text() == "VERIFY s1 1 00 OK\n"

@@ -112,7 +112,7 @@ def test_distinguishing_bound_tight_for_orthogonal_pure_states():
     """An orthogonal pure pair is perfectly distinguishable and the swap side
     gives 1/2 + sqrt(1/2) > 1, so the bound is respected with slack."""
     layout = core.RegisterLayout([("r0", 1), ("r1", 1), ("r2", 1)])
-    chi = core.SparseState.basis(3, 0b001)  # registers 1, 2 hold |0>, |1>
+    chi = core.SparseState(3, {0b001: 1.0})  # registers 1, 2 hold |0>, |1>
     gap = audit.anonymity_gap(chi, layout, "r0", "r1", "r2")
     assert abs(gap.advantage - 1.0) <= 1e-9
     assert abs(gap.detection_bound - (0.5 + math.sqrt(0.5))) <= 1e-9

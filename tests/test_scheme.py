@@ -157,7 +157,7 @@ def test_report_is_always_valid_and_uniform():
 
 
 def test_report_on_basis_state_token():
-    token = core.SparseState.basis(8, (0b0110 << 4) | 0b0011)
+    token = core.SparseState(8, {(0b0110 << 4) | 0b0011: 1.0})
     assert scheme.report(token, rng_for(11)) == (0b0110 + 1, 0b0011)
 
 
