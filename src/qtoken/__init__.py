@@ -12,7 +12,6 @@ from .core import (
     DensityMatrix,
     RegisterLayout,
     SparseState,
-    SwapOutcome,
     measure_register,
     random_state,
     reduced_density,
@@ -32,7 +31,7 @@ from .scheme import (
     report_emulated,
     token_state,
 )
-from .audit import AuditOutcome, ChainAudit, anonymity_gap, report_chain, report_prime
+from .audit import AuditOutcome, anonymity_gap, report_chain, report_prime
 from .adversary import (
     ForgerStrategy,
     eval_all_correct_bound,

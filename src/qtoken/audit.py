@@ -15,7 +15,6 @@ to the sampling ones: the inequality suites need 1e-9 precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,47 +32,19 @@ from .core import (
 from .scheme import unwire
 
 
-@dataclass(frozen=True)
-class AuditOutcome:
-    """Either cheat detected (no report) or the audited token's (index, value) report.
+class AuditOutcome(NamedTuple):
+    """The audited token's (index, value) report, or None for a detected cheat.
 
     ``post_state`` is the full joint state after the audit, so the surviving
     pattern register can be reused for the next transaction.
     """
 
-    cheat_detected: bool
     report: tuple[int, int] | None
     post_state: SparseState
 
-    def __post_init__(self):
-        if self.cheat_detected and self.report is not None:
-            raise ValueError("a detected cheat carries no report")
-        if not self.cheat_detected and self.report is None:
-            raise ValueError("a passed audit carries exactly one report")
-
-    @classmethod
-    def cheat(cls, post_state: SparseState) -> AuditOutcome:
-        return cls(True, None, post_state)
-
-    @classmethod
-    def passed(cls, report: tuple[int, int], post_state: SparseState) -> AuditOutcome:
-        return cls(False, report, post_state)
-
-
-@dataclass(frozen=True)
-class ChainAudit:
-    """Trace of a chained audit: swap outcomes in test order, then the result."""
-
-    swap_bits: tuple[int, ...]
-    outcome: AuditOutcome
-
-
-def _measure_report(joint, layout, token, rng) -> tuple[tuple[int, int], SparseState]:
-    width = layout.width(token)
-    if width % 2 != 0:
-        raise ValueError("token register width must be even")
-    bits, post = measure_register(joint, layout, token, rng)
-    return unwire(width // 2, int(bits, 2)), post
+    @property
+    def cheat_detected(self) -> bool:
+        return self.report is None
 
 
 def report_prime(
@@ -89,25 +60,27 @@ def report_prime(
     register intact for reuse; the token register is then measured in the
     computational basis and parsed into a report.
     """
-    swap = swap_test(joint, layout, pattern, token, rng)
-    if swap.bit == 1:
-        return AuditOutcome.cheat(swap.post_state)
-    rep, post = _measure_report(swap.post_state, layout, token, rng)
-    return AuditOutcome.passed(rep, post)
+    width = layout.width(token)
+    if width % 2 != 0:
+        raise ValueError("token register width must be even")
+    bit, state = swap_test(joint, layout, pattern, token, rng)
+    if bit == 1:
+        return AuditOutcome(None, state)
+    wire, post = measure_register(state, layout, token, rng)
+    return AuditOutcome(unwire(width // 2, wire), post)
 
 
 def report_chain(
     joint: SparseState,
     layout: RegisterLayout,
     rng: np.random.Generator,
-) -> ChainAudit:
+) -> AuditOutcome:
     """Audit a pattern against every token register, then report the first.
 
     The layout's first register is the pattern; the remaining registers are
     the tokens, all of the pattern's width. Swap tests run against the last
-    token first and walk down to the first; the first detected mismatch
-    aborts. If all tests pass, the first token register is measured and its
-    report returned.
+    token first and walk down to the second; the first detected mismatch
+    aborts. If all pass, the first token goes through ``report_prime``.
     """
     names = layout.names
     if len(names) < 2:
@@ -117,16 +90,12 @@ def report_chain(
     for t in tokens:
         if layout.width(t) != width:
             raise ValueError("all audited registers must match the pattern width")
-    bits: list[int] = []
     state = joint
-    for tok in reversed(tokens):
-        swap = swap_test(state, layout, pattern, tok, rng)
-        bits.append(swap.bit)
-        state = swap.post_state
-        if swap.bit == 1:
-            return ChainAudit(tuple(bits), AuditOutcome.cheat(state))
-    rep, post = _measure_report(state, layout, tokens[0], rng)
-    return ChainAudit(tuple(bits), AuditOutcome.passed(rep, post))
+    for tok in reversed(tokens[1:]):
+        bit, state = swap_test(state, layout, pattern, tok, rng)
+        if bit == 1:
+            return AuditOutcome(None, state)
+    return report_prime(state, layout, pattern, tokens[0], rng)
 
 
 def cheat_probability(

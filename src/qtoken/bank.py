@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import os
 import socketserver
+import stat
 import threading
 import warnings
 from collections import Counter
@@ -329,13 +330,26 @@ def _parse_address(address: str):
     return address, True
 
 
+def _is_socket(path: str) -> bool:
+    try:
+        return stat.S_ISSOCK(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        return False
+
+
 class BankServer:
-    """Serve a BankService over a local stream socket (TCP host:port or unix path)."""
+    """Serve a BankService over a local stream socket (TCP host:port or unix path).
+
+    A stale socket at the unix path is replaced; any other file there is
+    refused with ``ValueError`` and left as it is.
+    """
 
     def __init__(self, service: BankService, address: str):
         addr, is_unix = _parse_address(address)
-        if is_unix and os.path.exists(addr):
+        if is_unix and _is_socket(addr):
             os.unlink(addr)
+        elif is_unix and os.path.lexists(addr):
+            raise ValueError(f"{addr} exists and is not a socket")
         server_cls = _UnixServer if is_unix else _TcpServer
         self._server = server_cls(addr, _LineHandler)
         self._server.service = service
@@ -359,7 +373,7 @@ class BankServer:
     def stop(self) -> None:
         self._server.shutdown()
         self._server.server_close()
-        if self._is_unix and os.path.exists(self._server.server_address):
+        if self._is_unix and _is_socket(self._server.server_address):
             os.unlink(self._server.server_address)
         if self._thread is not None:
             self._thread.join(timeout=5)

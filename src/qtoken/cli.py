@@ -49,6 +49,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(exc: ValueError) -> int:
+    """Report bad arguments on one stderr line, without a traceback: exit 2."""
+    print(exc, file=sys.stderr)
+    return 2
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when no path is given."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _cmd_run(args) -> int:
     spec = harness.ScenarioSpec(
         scenario=args.scenario,
@@ -56,12 +71,13 @@ def _cmd_run(args) -> int:
         trials=args.trials,
         seed=args.seed,
         strategy=args.strategy,
-        out=args.out,
     )
-    result = harness.run_scenario(spec)
-    if args.out is None:
-        sys.stdout.write(result.to_csv())
-    else:
+    try:
+        result = harness.run_scenario(spec)
+    except ValueError as exc:
+        return _refuse(exc)
+    _write(result.to_csv(), args.out)
+    if args.out is not None:
         print(f"wrote {len(result.metrics)} metrics to {args.out}")
     for m in result.metrics:
         status = "pass" if m.passed else "FAIL"
@@ -72,12 +88,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    text = harness.bounds_csv(args.k)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        text = harness.bounds_csv(args.k)
+    except ValueError as exc:
+        return _refuse(exc)
+    _write(text, args.out)
     return 0
 
 
@@ -94,7 +109,11 @@ def _cmd_serve(args) -> int:
     service = _recover(args.log, sync=not args.no_sync)
     if service is None:
         return 2
-    server = BankServer(service, args.socket)
+    try:
+        server = BankServer(service, args.socket)
+    except ValueError as exc:
+        service.close()
+        return _refuse(exc)
     known = service.series_ids()
     print(f"recovered {len(known)} series from {args.log}", file=sys.stderr)
     print(f"listening on {server.address}", file=sys.stderr)
@@ -114,8 +133,7 @@ def _cmd_mint(args) -> int:
         if args.reports < 0:
             raise ValueError("--reports must not be negative")
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _refuse(exc)
     service = _recover(args.log)
     if service is None:
         return 2
@@ -132,6 +150,8 @@ def _cmd_mint(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit 0 when every metric passes, 1 when one fails, and 2 for bad
+    arguments or a log that cannot be recovered."""
     args = _build_parser().parse_args(argv)
     handler = {
         "run": _cmd_run,

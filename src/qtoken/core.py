@@ -153,14 +153,6 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
-@dataclass(frozen=True)
-class SwapOutcome:
-    """Result of one swap test: the measured bit and the collapsed state."""
-
-    bit: int
-    post_state: SparseState
-
-
 def _adopt_state(num_qubits: int, amplitudes: dict[int, complex]) -> SparseState:
     """Internal constructor for amplitude maps already known to be valid."""
     state = SparseState.__new__(SparseState)
@@ -197,10 +189,10 @@ def measure_register(
     layout: RegisterLayout,
     reg: str,
     rng: np.random.Generator,
-) -> tuple[str, SparseState]:
+) -> tuple[int, SparseState]:
     """Computational-basis measurement of one register.
 
-    Returns the outcome as a bit string of the register width plus the
+    Returns the outcome as the register's integer value plus the
     renormalized conditional state (measured register collapsed, everything
     else untouched).
     """
@@ -227,7 +219,7 @@ def measure_register(
             kept[idx] = amp
             norm_sq += amp.real * amp.real + amp.imag * amp.imag
     post = _normalized_state(state.num_qubits, kept, norm_sq)
-    return format(outcome, f"0{layout.width(reg)}b"), post
+    return outcome, post
 
 
 def _swap_permuter(layout: RegisterLayout, reg_a: str, reg_b: str):
@@ -311,19 +303,19 @@ def swap_test(
     reg_a: str,
     reg_b: str,
     rng: np.random.Generator,
-) -> SwapOutcome:
+) -> tuple[int, SparseState]:
     """Projective swap test between two registers of a joint state.
 
-    Outcome 0 projects onto the symmetric subspace of the register pair with
-    probability ||(v + SWAP v)/2||^2, outcome 1 onto the antisymmetric one;
-    the post state is renormalized either way.
+    Returns the measured bit plus the renormalized post state. Outcome 0
+    projects onto the symmetric subspace of the register pair with
+    probability ||(v + SWAP v)/2||^2, outcome 1 onto the antisymmetric one.
     """
     if layout.num_qubits != state.num_qubits:
         raise ValueError("layout width does not match state width")
     plus, minus, p1 = _swap_parts(state, layout, reg_a, reg_b)
     if rng.random() < p1:
-        return SwapOutcome(1, _normalized_state(state.num_qubits, minus, p1))
-    return SwapOutcome(0, _normalized_state(state.num_qubits, plus, 1.0 - p1))
+        return 1, _normalized_state(state.num_qubits, minus, p1)
+    return 0, _normalized_state(state.num_qubits, plus, 1.0 - p1)
 
 
 def swap_project(

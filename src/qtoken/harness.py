@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
@@ -80,7 +80,6 @@ class ScenarioSpec:
     trials: int | None = None
     seed: int = 0
     strategy: str | None = None
-    out: str | None = None
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,6 @@ class ExperimentResult:
             )
         return buf.getvalue()
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 def _rate_metric(name, successes, trials, expected, claim) -> MetricResult:
     lo, hi = stats.proportion_interval(successes, trials)
@@ -176,7 +171,9 @@ def _resolve(spec: ScenarioSpec) -> ScenarioSpec:
             raise ValueError(f"k = {k} above the emulated-mode limit {_MAX_EMULATED_K}")
     if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
-    return ScenarioSpec(spec.scenario, k, trials, spec.seed, spec.strategy, spec.out)
+    if spec.strategy is not None and spec.scenario != "forgery":
+        raise ValueError(f"scenario {spec.scenario!r} takes no strategy; only forgery does")
+    return replace(spec, k=k, trials=trials)
 
 
 def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
@@ -191,10 +188,7 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
         "voting": _run_voting,
         "inequality-suite": _run_inequality_scenario,
     }[spec.scenario]
-    result = runner(spec)
-    if spec.out:
-        result.write_csv(spec.out)
-    return result
+    return runner(spec)
 
 
 # -- honest flows ------------------------------------------------------------
@@ -348,12 +342,12 @@ def _run_tracking_audit(spec: ScenarioSpec) -> ExperimentResult:
     loaded_valid = paired_valid = 0
     for t in range(trials):
         rng = stats.spawn_rng(seed, 2, t)
-        bits, _ = measure_register(loaded, loaded_layout, "token", rng)
-        index, value = scheme.unwire(k, int(bits, 2))
+        wire, _ = measure_register(loaded, loaded_layout, "token", rng)
+        index, value = scheme.unwire(k, wire)
         loaded_counts[index - 1] += 1
         loaded_valid += secret.block(index) == value
-        bits, _ = measure_register(paired, paired_layout, "token1", rng)
-        index, value = scheme.unwire(k, int(bits, 2))
+        wire, _ = measure_register(paired, paired_layout, "token1", rng)
+        index, value = scheme.unwire(k, wire)
         paired_counts[index - 1] += 1
         paired_valid += secret.block(index) == value
 
@@ -580,7 +574,7 @@ def pattern_chain_sampled(seed: int, trials: int) -> tuple[int, int]:
         rng = stats.spawn_rng(seed, 7, t)
         chi = random_state(6, rng)
         chain = audit.report_chain(chi, _PATTERN_LAYOUT, rng)
-        chain_bot += chain.outcome.cheat_detected
+        chain_bot += chain.cheat_detected
         prime = audit.report_prime(chi, _PATTERN_LAYOUT, "p", "t1", rng)
         prime_bot += prime.cheat_detected
     return chain_bot, prime_bot

@@ -140,10 +140,10 @@ def test_loaded_token_index_correlation():
     state, layout = adversary.mint_loaded(secret)
     rng = rng_for(7)
     for _ in range(100):
-        bits, post = core.measure_register(state, layout, "token", rng)
-        index, _ = scheme.unwire(k, int(bits, 2))
-        bank_bits, _ = core.measure_register(post, layout, "bank", rng)
-        assert int(bank_bits, 2) == index - 1
+        wire, post = core.measure_register(state, layout, "token", rng)
+        index, _ = scheme.unwire(k, wire)
+        bank_index, _ = core.measure_register(post, layout, "bank", rng)
+        assert bank_index == index - 1
 
 
 def test_loaded_bank_flags_unrelated_user_rarely():
@@ -157,9 +157,9 @@ def test_loaded_bank_flags_unrelated_user_rarely():
     flagged = 0
     for _ in range(trials):
         _, post = core.measure_register(state, layout, "token", rng)
-        bank_bits, _ = core.measure_register(post, layout, "bank", rng)
+        bank_index, _ = core.measure_register(post, layout, "bank", rng)
         other_index, _ = scheme.report(honest, rng)
-        flagged += int(bank_bits, 2) == other_index - 1
+        flagged += bank_index == other_index - 1
     p = 2.0**-k
     assert abs(flagged / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
@@ -172,8 +172,8 @@ def test_loaded_message_distribution_is_honest():
     rng = rng_for(11)
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        bits, _ = core.measure_register(state, layout, "token", rng)
-        index, value = scheme.unwire(k, int(bits, 2))
+        wire, _ = core.measure_register(state, layout, "token", rng)
+        index, value = scheme.unwire(k, wire)
         assert secret.block(index) == value
         counts[index - 1] += 1
     _, _, ok = stats.uniformity_passes(counts, significance=0.001)
@@ -187,10 +187,10 @@ def test_permutation_paired_outcomes_locked():
     perm = rng.permutation(1 << k)
     state, layout = adversary.mint_permutation_paired(secret, perm)
     for _ in range(100):
-        bits1, post = core.measure_register(state, layout, "token1", rng)
-        i1, v1 = scheme.unwire(k, int(bits1, 2))
-        bits2, _ = core.measure_register(post, layout, "token2", rng)
-        i2, v2 = scheme.unwire(k, int(bits2, 2))
+        wire1, post = core.measure_register(state, layout, "token1", rng)
+        i1, v1 = scheme.unwire(k, wire1)
+        wire2, _ = core.measure_register(post, layout, "token2", rng)
+        i2, v2 = scheme.unwire(k, wire2)
         assert secret.block(i1) == v1
         assert secret.block(i2) == v2
         assert i2 - 1 == int(perm[i1 - 1])
@@ -202,9 +202,9 @@ def test_identity_permutation_repeats_the_index():
     state, layout = adversary.mint_permutation_paired(secret, list(range(1 << k)))
     rng = rng_for(14)
     for _ in range(50):
-        bits1, post = core.measure_register(state, layout, "token1", rng)
-        bits2, _ = core.measure_register(post, layout, "token2", rng)
-        assert int(bits1, 2) >> k == int(bits2, 2) >> k
+        wire1, post = core.measure_register(state, layout, "token1", rng)
+        wire2, _ = core.measure_register(post, layout, "token2", rng)
+        assert wire1 >> k == wire2 >> k
 
 
 def test_permutation_requires_bijection():
@@ -221,7 +221,7 @@ def test_paired_marginal_message_distribution_is_honest():
     state, layout = adversary.mint_permutation_paired(secret, rng.permutation(1 << k))
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        bits, _ = core.measure_register(state, layout, "token1", rng)
-        counts[(int(bits, 2) >> k)] += 1
+        wire, _ = core.measure_register(state, layout, "token1", rng)
+        counts[wire >> k] += 1
     _, _, ok = stats.uniformity_passes(counts, significance=0.001)
     assert ok

@@ -78,14 +78,6 @@ def test_loaded_token_detection_rate():
     assert abs(flagged / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
 
 
-def test_audit_outcome_invariant():
-    state = core.SparseState(2, {0: 1.0})
-    with pytest.raises(ValueError):
-        audit.AuditOutcome(True, (1, 0), state)
-    with pytest.raises(ValueError):
-        audit.AuditOutcome(False, None, state)
-
-
 # -- report_chain ------------------------------------------------------------------
 
 
@@ -95,23 +87,51 @@ def test_chain_on_identical_tokens():
     rng = rng_for(8)
     for _ in range(20):
         result = audit.report_chain(joint, layout, rng)
-        assert result.swap_bits == (0, 0)
-        assert not result.outcome.cheat_detected
-        index, value = result.outcome.report
+        assert not result.cheat_detected
+        index, value = result.report
         assert secret.block(index) == value
+
+
+def orthogonal_last_joint(k, seed):
+    """Pattern, an identical token, then a token orthogonal to both."""
+    secret, _, _ = honest_joint(k, seed, extra_tokens=0)
+    token = scheme.token_state(secret)
+    outside = next(i for i in range(1 << (2 * k)) if i not in token.amplitudes)
+    bogus = core.SparseState(2 * k, {outside: 1.0})
+    joint = functools.reduce(core.tensor, [token, token, bogus])
+    return joint, core.RegisterLayout([("p", 2 * k), ("t1", 2 * k), ("t2", 2 * k)])
+
+
+@pytest.mark.parametrize("instance", ["honest", "first-test-aborts"])
+def test_chain_is_swap_tests_then_report_prime(instance):
+    """report_chain on [p, t1, t2] draws exactly what swap_test(p, t2) then
+    report_prime(p, t1) draws, in the same order, and ends in the same state."""
+    if instance == "honest":
+        _, joint, layout = honest_joint(1, seed=21, extra_tokens=2)
+    else:
+        joint, layout = orthogonal_last_joint(1, seed=22)
+    p, t1, t2 = layout.names
+    first_bits = set()
+    for seed in range(20):
+        rng_chain, rng_hand = rng_for(seed), rng_for(seed)
+        chain = audit.report_chain(joint, layout, rng_chain)
+        bit, state = core.swap_test(joint, layout, p, t2, rng_hand)
+        first_bits.add(bit)
+        if bit == 1:
+            hand = audit.AuditOutcome(None, state)
+        else:
+            hand = audit.report_prime(state, layout, p, t1, rng_hand)
+        assert chain.report == hand.report
+        assert chain.post_state.amplitudes == hand.post_state.amplitudes
+        assert rng_chain.random() == rng_hand.random()
+    assert first_bits == ({0} if instance == "honest" else {0, 1})
 
 
 def test_chain_aborts_on_orthogonal_register():
     """With the last register orthogonal to the identical rest, the first
     chain test fires with probability 1/2; conditional on passing it, later
     tests never fire."""
-    k = 1
-    secret, _, _ = honest_joint(k, seed=9, extra_tokens=0)
-    token = scheme.token_state(secret)
-    outside = next(i for i in range(1 << (2 * k)) if i not in token.amplitudes)
-    bogus = core.SparseState(2 * k, {outside: 1.0})
-    joint = functools.reduce(core.tensor, [token, token, bogus])
-    layout = core.RegisterLayout([("p", 2), ("t1", 2), ("t2", 2)])
+    joint, layout = orthogonal_last_joint(1, seed=9)
     p_first = core.swap_probability(joint, layout, "p", "t2")
     assert abs(p_first - 0.5) <= 1e-9
     exact = audit.chain_cheat_probability(joint, layout)
@@ -122,7 +142,7 @@ def test_chain_aborts_on_orthogonal_register():
     rng = rng_for(10)
     trials = 20_000
     aborts = sum(
-        audit.report_chain(joint, layout, rng).outcome.cheat_detected
+        audit.report_chain(joint, layout, rng).cheat_detected
         for _ in range(trials)
     )
     assert abs(aborts / trials - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
@@ -239,21 +259,16 @@ def test_heuristic_swapped_usage_distinguisher_respects_bound():
     for _ in range(trials):
         side = int(rng.integers(1, 3))
         if side == 1:
-            bits, post = core.measure_register(chi, layout, "tok1", rng)
-            outcome = scheme.unwire(k, int(bits, 2))
+            wire, post = core.measure_register(chi, layout, "tok1", rng)
+            outcome = scheme.unwire(k, wire)
         else:
-            swap = core.swap_test(chi, layout, "tok2", "tok1", rng)
-            if swap.bit == 1:
-                outcome, post = None, swap.post_state
-            else:
-                bits, post = core.measure_register(swap.post_state, layout, "tok1", rng)
-                outcome = scheme.unwire(k, int(bits, 2))
+            outcome, post = audit.report_prime(chi, layout, "tok2", "tok1", rng)
         # Heuristic guess: abort means audited; otherwise match the bank
         # register against the reported index.
         if outcome is None:
             guess = 2
         else:
-            bank_bits, _ = core.measure_register(post, layout, "bank", rng)
-            guess = 2 if int(bank_bits, 2) == outcome[0] - 1 else 1
+            bank_index, _ = core.measure_register(post, layout, "bank", rng)
+            guess = 2 if bank_index == outcome[0] - 1 else 1
         wins += guess == side
     assert wins / trials <= bound + 3 * math.sqrt(0.25 / trials)

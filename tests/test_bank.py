@@ -320,6 +320,29 @@ def test_tcp_server_roundtrip():
         server.stop()
 
 
+def test_server_refuses_a_regular_file_and_replaces_a_stale_socket(tmp_path):
+    service, secret, sid = fresh_service(k=8, seed=16)
+    taken = tmp_path / "bank.log"
+    taken.write_bytes(b"SERIES s1 8 00\n")
+    with pytest.raises(ValueError, match="not a socket"):
+        bank.BankServer(service, str(taken))
+    assert taken.read_bytes() == b"SERIES s1 8 00\n"
+
+    stale = tmp_path / "bank.sock"
+    leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    leftover.bind(str(stale))
+    leftover.close()
+    server = bank.BankServer(service, str(stale))
+    server.start()
+    try:
+        client = LineClient(server.address)
+        assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "OK"
+        client.close()
+    finally:
+        server.stop()
+    assert not stale.exists()
+
+
 def test_concurrent_socket_clients_single_accept(tmp_path):
     service, secret, sid = fresh_service(k=8, seed=15)
     server = bank.BankServer(service, str(tmp_path / "bank.sock"))

@@ -73,6 +73,37 @@ def test_mint_refuses_negative_reports_before_creating_the_log(tmp_path, capsys)
     assert not log.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "forgery", "--k", "6"], "positive multiple of 4"),
+        (["run", "honest-flow", "--k", "8"], "needs k <= 6"),
+        (["run", "voting", "--k", "8", "--trials", "300"], "more voters than distinct pad indices"),
+        (["run", "forgery", "--trials", "0"], "trials must be >= 1"),
+        (["bounds", "--k", "6"], "positive multiple of 4"),
+    ],
+)
+def test_bad_arguments_exit_2_without_a_traceback(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_serve_refuses_an_existing_file_at_the_socket_path(tmp_path, capsys):
+    log = tmp_path / "bank.log"
+    assert cli.main(["mint", "--log", str(log), "--k", "4"]) == 0
+    logged = log.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["serve", "--log", str(log), "--socket", str(log)]) == 2
+    assert capsys.readouterr().err.endswith(f"{log} exists and is not a socket\n")
+    assert log.read_bytes() == logged
+    service = bank.BankService.recover(str(log))
+    assert service.series_ids() == ["series-0"]
+    service.close()
+
+
 @pytest.mark.parametrize("command", ["mint", "serve"])
 def test_corrupt_log_is_reported_without_a_traceback(tmp_path, capsys, command):
     log = tmp_path / "bank.log"

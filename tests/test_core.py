@@ -64,8 +64,8 @@ def test_every_operation_preserves_normalization():
     for _ in range(20):
         state = core.random_state(4, rng)
         assert abs(np.linalg.norm(state.dense()) ** 2 - 1.0) <= TOL
-        outcome = core.swap_test(state, layout, "a", "b", rng)
-        assert abs(np.linalg.norm(outcome.post_state.dense()) ** 2 - 1.0) <= TOL
+        _, post = core.swap_test(state, layout, "a", "b", rng)
+        assert abs(np.linalg.norm(post.dense()) ** 2 - 1.0) <= TOL
         _, post = core.measure_register(state, layout, "a", rng)
         assert abs(np.linalg.norm(post.dense()) ** 2 - 1.0) <= TOL
 
@@ -136,8 +136,8 @@ def test_inner_product_token_overlap_one_block_differs():
 
 def test_measure_basis_state_is_deterministic():
     layout = core.RegisterLayout([("all", 2)])
-    bits, post = core.measure_register(core.SparseState(2, {0b01: 1.0}), layout, "all", rng_for())
-    assert bits == "01"
+    outcome, post = core.measure_register(core.SparseState(2, {0b01: 1.0}), layout, "all", rng_for())
+    assert outcome == 0b01
     assert post.amplitudes == {0b01: 1.0 + 0j}
 
 
@@ -146,10 +146,9 @@ def test_measure_second_register_after_collapse():
     token = scheme.token_state(secret)
     layout = core.RegisterLayout([("index", 4), ("value", 4)])
     rng = rng_for(10)
-    bits, post = core.measure_register(token, layout, "index", rng)
-    i0 = int(bits, 2)
-    value_bits, _ = core.measure_register(post, layout, "value", rng)
-    assert int(value_bits, 2) == secret.block(i0 + 1)
+    i0, post = core.measure_register(token, layout, "index", rng)
+    value, _ = core.measure_register(post, layout, "value", rng)
+    assert value == secret.block(i0 + 1)
 
 
 def test_measure_index_register_uniform():
@@ -162,8 +161,8 @@ def test_measure_index_register_uniform():
     rng = rng_for(13)
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        bits, _ = core.measure_register(token, layout, "index", rng)
-        counts[int(bits, 2)] += 1
+        index, _ = core.measure_register(token, layout, "index", rng)
+        counts[index] += 1
     p = 2.0**-k
     sigma = math.sqrt(p * (1 - p) * trials)
     assert np.all(np.abs(counts - trials * p) <= 3 * sigma)
@@ -177,8 +176,8 @@ def test_measure_marginals_match_dense_oracle():
     counts = np.zeros(8)
     trials = 40_000
     for _ in range(trials):
-        bits, _ = core.measure_register(state, layout, "b", rng)
-        counts[int(bits, 2)] += 1
+        outcome, _ = core.measure_register(state, layout, "b", rng)
+        counts[outcome] += 1
     sigma = np.sqrt(np.maximum(probs * (1 - probs) * trials, 1.0))
     assert np.all(np.abs(counts - trials * probs) <= 4 * sigma)
 
@@ -243,9 +242,9 @@ def test_swap_test_identical_product_always_zero():
     joint = core.tensor(phi, phi)
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
     for _ in range(50):
-        out = core.swap_test(joint, layout, "a", "b", rng)
-        assert out.bit == 0
-        assert dense_close(out.post_state.dense(), joint.dense())
+        bit, post = core.swap_test(joint, layout, "a", "b", rng)
+        assert bit == 0
+        assert dense_close(post.dense(), joint.dense())
 
 
 def test_swap_probability_orthogonal_and_known_values():
@@ -292,18 +291,18 @@ def test_swap_test_projective_structure():
     seen = set()
     while seen != {0, 1}:
         state = core.random_state(4, rng)
-        out = core.swap_test(state, layout, "a", "b", rng)
-        seen.add(out.bit)
-        post = out.post_state.dense()
+        bit, post_state = core.swap_test(state, layout, "a", "b", rng)
+        seen.add(bit)
+        post = post_state.dense()
         swapped_post = refsim.dense_swap(post, layout, "a", "b")
-        if out.bit == 0:
+        if bit == 0:
             assert dense_close(swapped_post, post)
-            assert core.swap_probability(out.post_state, layout, "a", "b") <= TOL
+            assert core.swap_probability(post_state, layout, "a", "b") <= TOL
         else:
             assert dense_close(swapped_post, -post)
-            assert core.swap_probability(out.post_state, layout, "a", "b") >= 1 - TOL
-        repeat = core.swap_test(out.post_state, layout, "a", "b", rng)
-        assert repeat.bit == out.bit
+            assert core.swap_probability(post_state, layout, "a", "b") >= 1 - TOL
+        repeat, _ = core.swap_test(post_state, layout, "a", "b", rng)
+        assert repeat == bit
 
 
 def test_swap_test_sampled_frequency():
@@ -312,7 +311,7 @@ def test_swap_test_sampled_frequency():
     state = core.tensor(plus_state(), core.SparseState(1, {0: 1.0}))
     p1 = core.swap_probability(state, layout, "a", "b")
     trials = 20_000
-    hits = sum(core.swap_test(state, layout, "a", "b", rng).bit for _ in range(trials))
+    hits = sum(core.swap_test(state, layout, "a", "b", rng)[0] for _ in range(trials))
     assert abs(hits / trials - p1) <= 3 * math.sqrt(p1 * (1 - p1) / trials)
 
 

@@ -89,14 +89,14 @@ def test_incompatible_scenario_parameters():
         run("forgery", k=24, trials=10)
     with pytest.raises(ValueError):
         run("nonesuch")
+    with pytest.raises(ValueError, match="takes no strategy"):
+        run("honest-flow", trials=10, strategy="replay")
 
 
-def test_csv_is_byte_identical_for_identical_specs(tmp_path):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    run("adversarial-history", trials=400, seed=11, out=str(out_a))
-    run("adversarial-history", trials=400, seed=11, out=str(out_b))
-    assert out_a.read_bytes() == out_b.read_bytes()
+def test_csv_is_byte_identical_for_identical_specs():
+    csv_a = run("adversarial-history", trials=400, seed=11).to_csv()
+    csv_b = run("adversarial-history", trials=400, seed=11).to_csv()
+    assert csv_a == csv_b
 
 
 def test_csv_shape_and_claims():
