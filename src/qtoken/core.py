@@ -15,6 +15,19 @@ Conventions:
 * Every sampling operation takes an explicit ``numpy.random.Generator``;
   there is no global randomness anywhere in this package.
 
+Because a state never changes, whatever is computed from it alone stays
+true for as long as the state lives, so each state keeps a small memo of the
+results that sampling reads again and again: the swap-test split of a
+register pair (outcome-1 probability and the two post-states) and the
+outcome marginal of a register (values, running probability sums and one
+post-state per outcome). Entries are keyed by the register fields (shifts
+and mask), never by a layout's identity, and post-states are built the first
+time they are returned. The tracking audit samples the same two joint states
+in every trial, so after the first trial each sample costs one draw and a
+lookup. A sample reads the generator exactly as an uncached walk does and
+returns the same outcome and post-state amplitudes. Two threads filling the
+same entry compute the same value, so the race is benign.
+
 The swap test is implemented as what it is mathematically: a two-outcome
 projective measurement onto the symmetric subspace (outcome 0, projector
 (I + SWAP)/2) and the antisymmetric subspace (outcome 1, (I - SWAP)/2) of a
@@ -26,7 +39,9 @@ the inequality suites need 1e-9 precision that sampling cannot deliver.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,7 +54,7 @@ DENSE_QUBIT_LIMIT = 12
 class SparseState:
     """Normalized pure state, stored as {basis index: amplitude}."""
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("num_qubits", "amplitudes", "_memo")
 
     def __init__(
         self,
@@ -69,6 +84,7 @@ class SparseState:
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         self.num_qubits = num_qubits
         self.amplitudes = amps
+        self._memo = None
 
     def dense(self) -> np.ndarray:
         vec = np.zeros(1 << self.num_qubits, dtype=complex)
@@ -125,9 +141,6 @@ class RegisterLayout:
     def mask(self, name: str) -> int:
         return (1 << self._fields[name][1]) - 1
 
-    def extract(self, index: int, name: str) -> int:
-        return (index >> self.shift(name)) & self.mask(name)
-
     def __repr__(self) -> str:
         regs = ", ".join(f"{n}:{self.width(n)}" for n in self._order)
         return f"RegisterLayout({regs})"
@@ -158,7 +171,19 @@ def _adopt_state(num_qubits: int, amplitudes: dict[int, complex]) -> SparseState
     state = SparseState.__new__(SparseState)
     state.num_qubits = num_qubits
     state.amplitudes = amplitudes
+    state._memo = None
     return state
+
+
+def _memoized(state: SparseState, key: tuple, compute):
+    """``compute()``, kept on ``state`` under ``key`` after the first call."""
+    memo = state._memo
+    if memo is None:
+        memo = state._memo = {}
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
 
 
 def _normalized_state(num_qubits: int, amplitudes: dict[int, complex], norm_sq: float) -> SparseState:
@@ -184,6 +209,20 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     return SparseState(a.num_qubits + b.num_qubits, amps)
 
 
+def _marginal(
+    state: SparseState, shift: int, mask: int
+) -> tuple[list[int], list[float], float, list[SparseState | None]]:
+    """One register field's outcome values in first-seen order, their running
+    probability sums, the total probability, and an empty post-state slot per
+    value."""
+    weights: dict[int, float] = {}
+    for idx, amp in state.amplitudes.items():
+        val = (idx >> shift) & mask
+        weights[val] = weights.get(val, 0.0) + abs(amp) ** 2
+    values = list(weights)
+    return values, list(accumulate(weights.values())), sum(weights.values()), [None] * len(values)
+
+
 def measure_register(
     state: SparseState,
     layout: RegisterLayout,
@@ -200,36 +239,36 @@ def measure_register(
         raise ValueError("layout width does not match state width")
     shift = layout.shift(reg)
     mask = layout.mask(reg)
-    weights: dict[int, float] = {}
-    for idx, amp in state.amplitudes.items():
-        val = (idx >> shift) & mask
-        weights[val] = weights.get(val, 0.0) + abs(amp) ** 2
-    x = rng.random() * sum(weights.values())
-    acc = 0.0
-    outcome = None
-    for val, w in weights.items():
-        outcome = val
-        acc += w
-        if x < acc:
-            break
-    kept = {}
-    norm_sq = 0.0
-    for idx, amp in state.amplitudes.items():
-        if (idx >> shift) & mask == outcome:
-            kept[idx] = amp
-            norm_sq += amp.real * amp.real + amp.imag * amp.imag
-    post = _normalized_state(state.num_qubits, kept, norm_sq)
+    values, accs, total, posts = _memoized(
+        state, ("reg", shift, mask), lambda: _marginal(state, shift, mask)
+    )
+    # The first value whose running sum exceeds the draw; rounding can leave
+    # the draw at or above the last sum, and then the last value is taken.
+    pick = min(bisect_right(accs, rng.random() * total), len(values) - 1)
+    outcome = values[pick]
+    post = posts[pick]
+    if post is None:
+        kept = {}
+        norm_sq = 0.0
+        for idx, amp in state.amplitudes.items():
+            if (idx >> shift) & mask == outcome:
+                kept[idx] = amp
+                norm_sq += amp.real * amp.real + amp.imag * amp.imag
+        post = posts[pick] = _normalized_state(state.num_qubits, kept, norm_sq)
     return outcome, post
 
 
-def _swap_permuter(layout: RegisterLayout, reg_a: str, reg_b: str):
-    """Index permutation exchanging the two (equal-width) register fields."""
+def _swap_fields(layout: RegisterLayout, reg_a: str, reg_b: str) -> tuple[int, int, int]:
+    """(shift_a, shift_b, mask) of two equal-width registers."""
     if layout.width(reg_a) != layout.width(reg_b):
         raise ValueError(
             f"registers {reg_a!r} and {reg_b!r} have different widths"
         )
-    sa, sb = layout.shift(reg_a), layout.shift(reg_b)
-    mask = layout.mask(reg_a)
+    return layout.shift(reg_a), layout.shift(reg_b), layout.mask(reg_a)
+
+
+def _swap_permuter(sa: int, sb: int, mask: int):
+    """Index permutation exchanging the two register fields."""
 
     def permute(idx: int) -> int:
         d = ((idx >> sa) ^ (idx >> sb)) & mask
@@ -238,13 +277,13 @@ def _swap_permuter(layout: RegisterLayout, reg_a: str, reg_b: str):
     return permute
 
 
-def _swap_parts(state, layout, reg_a, reg_b):
-    """Symmetric and antisymmetric components (v +/- SWAP v)/2 plus ||minus||^2.
+def _swap_parts(state: SparseState, sa: int, sb: int, mask: int) -> list:
+    """[||minus||^2, plus, minus] for the components (v +/- SWAP v)/2.
 
     Walks each orbit of the swap permutation once: fixed points go straight
     to the symmetric part, two-element orbits split between both parts.
     """
-    permute = _swap_permuter(layout, reg_a, reg_b)
+    permute = _swap_permuter(sa, sb, mask)
     amps = state.amplitudes
     plus: dict[int, complex] = {}
     minus: dict[int, complex] = {}
@@ -270,7 +309,26 @@ def _swap_parts(state, layout, reg_a, reg_b):
             minus[idx] = d
             minus[j] = -d
             p1 += 2.0 * (d.real * d.real + d.imag * d.imag)
-    return plus, minus, min(max(p1, 0.0), 1.0)
+    return [min(max(p1, 0.0), 1.0), plus, minus]
+
+
+def _split(state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str) -> list:
+    """The state's memoised ``_swap_parts`` for one register pair."""
+    if layout.num_qubits != state.num_qubits:
+        raise ValueError("layout width does not match state width")
+    fields = _swap_fields(layout, reg_a, reg_b)
+    return _memoized(state, ("swap", *fields), lambda: _swap_parts(state, *fields))
+
+
+def _swap_post(state: SparseState, split: list, outcome: int) -> SparseState:
+    """Post-state of ``outcome``; its part of ``split`` is normalised once and kept."""
+    part = split[1 + outcome]
+    if isinstance(part, dict):
+        p1 = split[0]
+        part = split[1 + outcome] = _normalized_state(
+            state.num_qubits, part, p1 if outcome else 1.0 - p1
+        )
+    return part
 
 
 def swap_probability(
@@ -279,7 +337,7 @@ def swap_probability(
     """Exact probability of swap-test outcome 1, without sampling or collapse."""
     if layout.num_qubits != state.num_qubits:
         raise ValueError("layout width does not match state width")
-    permute = _swap_permuter(layout, reg_a, reg_b)
+    permute = _swap_permuter(*_swap_fields(layout, reg_a, reg_b))
     amps = state.amplitudes
     p1 = 0.0
     for idx, v in amps.items():
@@ -310,12 +368,9 @@ def swap_test(
     projects onto the symmetric subspace of the register pair with
     probability ||(v + SWAP v)/2||^2, outcome 1 onto the antisymmetric one.
     """
-    if layout.num_qubits != state.num_qubits:
-        raise ValueError("layout width does not match state width")
-    plus, minus, p1 = _swap_parts(state, layout, reg_a, reg_b)
-    if rng.random() < p1:
-        return 1, _normalized_state(state.num_qubits, minus, p1)
-    return 0, _normalized_state(state.num_qubits, plus, 1.0 - p1)
+    split = _split(state, layout, reg_a, reg_b)
+    outcome = 1 if rng.random() < split[0] else 0
+    return outcome, _swap_post(state, split, outcome)
 
 
 def swap_project(
@@ -328,16 +383,13 @@ def swap_project(
     """Exact post-measurement state of the swap test for a forced outcome."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    if layout.num_qubits != state.num_qubits:
-        raise ValueError("layout width does not match state width")
-    plus, minus, p1 = _swap_parts(state, layout, reg_a, reg_b)
+    split = _split(state, layout, reg_a, reg_b)
     if outcome == 1:
-        if p1 < 1e-15:
+        if split[0] < 1e-15:
             raise ValueError("antisymmetric component has (near) zero weight")
-        return _normalized_state(state.num_qubits, minus, p1)
-    if 1.0 - p1 < 1e-15:
+    elif 1.0 - split[0] < 1e-15:
         raise ValueError("symmetric component has (near) zero weight")
-    return _normalized_state(state.num_qubits, plus, 1.0 - p1)
+    return _swap_post(state, split, outcome)
 
 
 def reduced_density(
@@ -364,28 +416,33 @@ def reduced_density(
             f"kept registers span {kept_width} qubits, "
             f"above the dense limit {DENSE_QUBIT_LIMIT}"
         )
-    traced = [n for n in layout.names if n not in kept_names]
-
-    def split(idx: int) -> tuple[int, int]:
-        kept_idx = 0
-        for name in kept_names:
-            kept_idx = (kept_idx << layout.width(name)) | layout.extract(idx, name)
-        env_idx = 0
-        for name in traced:
-            env_idx = (env_idx << layout.width(name)) | layout.extract(idx, name)
-        return kept_idx, env_idx
+    kept_fields = [(layout.shift(n), layout.mask(n), layout.width(n)) for n in kept_names]
+    traced_fields = [
+        (layout.shift(n), layout.mask(n), layout.width(n))
+        for n in layout.names
+        if n not in kept_names
+    ]
 
     groups: dict[int, list[tuple[int, complex]]] = {}
     for idx, amp in state.amplitudes.items():
-        kept_idx, env_idx = split(idx)
+        kept_idx = 0
+        for shift, mask, width in kept_fields:
+            kept_idx = (kept_idx << width) | ((idx >> shift) & mask)
+        env_idx = 0
+        for shift, mask, width in traced_fields:
+            env_idx = (env_idx << width) | ((idx >> shift) & mask)
         groups.setdefault(env_idx, []).append((kept_idx, amp))
 
+    # Accumulate in a flat list of Python complex numbers: the same additions
+    # in the same order as on the array, without per-element indexing costs.
     dim = 1 << kept_width
-    rho = np.zeros((dim, dim), dtype=complex)
+    acc = [0j] * (dim * dim)
     for entries in groups.values():
         for a, amp_a in entries:
+            row = a * dim
             for b, amp_b in entries:
-                rho[a, b] += amp_a * amp_b.conjugate()
+                acc[row + b] += amp_a * amp_b.conjugate()
+    rho = np.array(acc, dtype=complex).reshape(dim, dim)
     return DensityMatrix(dim, rho)
 
 

@@ -58,7 +58,7 @@ _DEFAULTS = {
 }
 
 _QUANTUM_SCENARIOS = {"honest-flow", "adversarial-history", "tracking-audit"}
-_MAX_QUANTUM_K = 6
+_MAX_QUANTUM_K = 8
 _MAX_EMULATED_K = 20
 
 VIOLATION_TOL = 1e-9
@@ -164,7 +164,10 @@ def _resolve(spec: ScenarioSpec) -> ScenarioSpec:
     dk, dt = _DEFAULTS[spec.scenario]
     k = spec.k if spec.k is not None else dk
     trials = spec.trials if spec.trials is not None else dt
+    if dk is None and spec.k is not None:
+        raise ValueError(f"scenario {spec.scenario!r} takes no k")
     if k is not None:
+        scheme.SchemeParams.for_k(k)
         if spec.scenario in _QUANTUM_SCENARIOS and k > _MAX_QUANTUM_K:
             raise ValueError(f"scenario {spec.scenario!r} simulates states; needs k <= {_MAX_QUANTUM_K}")
         if k > _MAX_EMULATED_K:

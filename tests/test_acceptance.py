@@ -93,6 +93,24 @@ def test_criterion_3_unforgeability_bound():
     announce(result.all_passed(), "criterion 3: unforgeability (" + "; ".join(lines) + ")")
 
 
+def test_criterion_2_correctness_bound_at_k8():
+    """At k=8 honest rejection against 15-pair foreign and same-series
+    histories matches 15/2^16 and 15/2^8 within 3 sigma over 10^5 trials, and
+    both stay below eps_l = 1/16 with no slack."""
+    result = harness.run_scenario(
+        harness.ScenarioSpec("adversarial-history", k=8, trials=100_000, seed=SEED)
+    )
+    same = metric(result, "same_series_rejection")
+    below = metric(result, "same_series_below_eps_l")
+    assert same.expected == 15 / 256
+    assert below.expected == 1 / 16 and below.relation == "le"
+    announce(
+        result.all_passed(),
+        f"criterion 2 at k=8: correctness bound (same-series rejection "
+        f"{same.estimate:.5f} vs 15/256 = {15 / 256:.5f}, eps_l = 0.0625)",
+    )
+
+
 def test_criterion_4_tracking_detection():
     """Loaded-entangled and permutation-paired banks are both caught by the
     audit at rate (1 - 2^-4)/2 = 0.46875 within 3 sigma at 10^5 trials, while
@@ -107,6 +125,23 @@ def test_criterion_4_tracking_detection():
         result.all_passed(),
         f"criterion 4: tracking detection (loaded {loaded.estimate:.5f}, "
         f"paired {paired.estimate:.5f}, target 0.46875; message stats honest)",
+    )
+
+
+def test_criterion_4_tracking_detection_at_k8():
+    """At k=8 both banks are caught at rate (1 - 2^-8)/2 = 255/512 within
+    3 sigma at 10^5 trials, and their messages pass the honest chi-squared
+    test (0.001)."""
+    result = harness.run_scenario(
+        harness.ScenarioSpec("tracking-audit", k=8, trials=100_000, seed=SEED)
+    )
+    loaded = metric(result, "loaded_detection_rate")
+    paired = metric(result, "paired_detection_rate")
+    assert loaded.expected == paired.expected == 255 / 512
+    announce(
+        result.all_passed(),
+        f"criterion 4 at k=8: tracking detection (loaded {loaded.estimate:.5f}, "
+        f"paired {paired.estimate:.5f}, target {255 / 512:.5f}; message stats honest)",
     )
 
 

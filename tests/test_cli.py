@@ -77,10 +77,11 @@ def test_mint_refuses_negative_reports_before_creating_the_log(tmp_path, capsys)
     "argv, message",
     [
         (["run", "forgery", "--k", "6"], "positive multiple of 4"),
-        (["run", "honest-flow", "--k", "8"], "needs k <= 6"),
+        (["run", "honest-flow", "--k", "12"], "needs k <= 8"),
         (["run", "voting", "--k", "8", "--trials", "300"], "more voters than distinct pad indices"),
         (["run", "forgery", "--trials", "0"], "trials must be >= 1"),
         (["bounds", "--k", "6"], "positive multiple of 4"),
+        (["run", "tracking-audit", "--k", "5", "--trials", "5"], "positive multiple of 4"),
     ],
 )
 def test_bad_arguments_exit_2_without_a_traceback(capsys, argv, message):

@@ -1,9 +1,12 @@
 """Sparse-state engine tests against dense numpy oracles and known values."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refsim
 from qtoken import core, scheme
@@ -444,5 +447,173 @@ def test_layout_validation():
         core.RegisterLayout([("a", 1), ("a", 2)])
     layout = core.RegisterLayout([("hi", 2), ("lo", 3)])
     assert layout.num_qubits == 5
-    assert layout.extract(0b11000, "hi") == 0b11
-    assert layout.extract(0b00101, "lo") == 0b101
+    assert (0b11000 >> layout.shift("hi")) & layout.mask("hi") == 0b11
+    assert (0b00101 >> layout.shift("lo")) & layout.mask("lo") == 0b101
+
+
+# -- memoised samples on immutable states ------------------------------------------
+
+
+@st.composite
+def joint_states(draw):
+    """A random state over three equal-width registers p, t1, t2, plus an
+    optional register x of another width at any position."""
+    width = draw(st.integers(1, 2))
+    registers = [("p", width), ("t1", width), ("t2", width)]
+    extra = draw(st.integers(0, 2))
+    if extra:
+        registers.insert(draw(st.integers(0, 3)), ("x", extra))
+    layout = core.RegisterLayout(registers)
+    n = layout.num_qubits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.choice(1 << n, size=draw(st.integers(1, 1 << n)), replace=False)
+    if draw(st.booleans()):
+        # Equal weights: the last running sum and the total can round apart.
+        amps = {int(i): 1.0 for i in support}
+    else:
+        amps = {int(i): complex(rng.normal(), rng.normal()) for i in support}
+    return core.SparseState(n, amps, normalize=True), layout
+
+
+def fresh(state):
+    """An equal state that shares no memo with ``state``."""
+    return core.SparseState(state.num_qubits, dict(state.amplitudes))
+
+
+def reference_measure(state, layout, reg, rng):
+    """measure_register as an uncached walk: the first value whose running sum
+    exceeds the draw, else the last value."""
+    shift, mask = layout.shift(reg), layout.mask(reg)
+    weights = {}
+    for idx, amp in state.amplitudes.items():
+        val = (idx >> shift) & mask
+        weights[val] = weights.get(val, 0.0) + abs(amp) ** 2
+    x = rng.random() * sum(weights.values())
+    acc = 0.0
+    for outcome, w in weights.items():
+        acc += w
+        if x < acc:
+            break
+    kept = {}
+    norm_sq = 0.0
+    for idx, amp in state.amplitudes.items():
+        if (idx >> shift) & mask == outcome:
+            kept[idx] = amp
+            norm_sq += amp.real * amp.real + amp.imag * amp.imag
+    scale = 1.0 / math.sqrt(norm_sq)
+    return outcome, [(i, a * scale) for i, a in kept.items() if abs(a * scale) > core.PRUNE_THRESHOLD]
+
+
+def same_sample(got, want):
+    """Equal outcomes and equal post-state amplitudes, in the same order."""
+    return got[0] == want[0] and list(got[1].amplitudes.items()) == list(want[1].amplitudes.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_states(), st.integers(0, 2**32 - 1))
+def test_memoised_measurement_matches_the_uncached_walk(case, seed):
+    state, layout = case
+    rng, ref_rng = rng_for(seed), rng_for(seed)
+    # Each register twice: the first call fills its memo entry, the second
+    # reads it; equal-width registers must not share an entry.
+    for reg in layout.names * 2:
+        outcome, post = core.measure_register(state, layout, reg, rng)
+        ref_outcome, ref_amps = reference_measure(state, layout, reg, ref_rng)
+        assert outcome == ref_outcome
+        assert list(post.amplitudes.items()) == ref_amps
+        assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_states(), st.integers(0, 2**32 - 1))
+def test_memoised_swap_test_matches_the_exact_probability(case, seed):
+    state, layout = case
+    p1 = core.swap_probability(state, layout, "p", "t1")
+    swapped = refsim.dense_swap(state.dense(), layout, "p", "t1")
+    rng, ref_rng = rng_for(seed), rng_for(seed)
+    for _ in range(3):  # the first call fills the memo, the rest read it
+        bit, post = core.swap_test(state, layout, "p", "t1", rng)
+        assert bit == (1 if ref_rng.random() < p1 else 0)
+        want = core.swap_project(fresh(state), layout, "p", "t1", bit)
+        assert list(post.amplitudes.items()) == list(want.amplitudes.items())
+        projected = (state.dense() + (1 - 2 * bit) * swapped) / 2
+        assert dense_close(post.dense(), projected / np.linalg.norm(projected))
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_states(), st.integers(0, 2**32 - 1))
+def test_one_state_on_two_register_pairs_samples_like_two_copies(case, seed):
+    """The inequality suite's pattern: a chained audit on (p, t2), then a single
+    audit on (p, t1) of the same state, then both again."""
+    state, layout = case
+    copies = {pair: fresh(state) for pair in (("p", "t2"), ("p", "t1"))}
+    rng, ref_rng = rng_for(seed), rng_for(seed)
+    for pair in [("p", "t2"), ("p", "t1")] * 2:
+        got = core.swap_test(state, layout, *pair, rng)
+        want = core.swap_test(copies[pair], layout, *pair, ref_rng)
+        assert same_sample(got, want)
+        got = core.measure_register(got[1], layout, pair[1], rng)
+        want = core.measure_register(fresh(want[1]), layout, pair[1], ref_rng)
+        assert same_sample(got, want)
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_states(), st.integers(0, 2**32 - 1))
+def test_swap_project_after_swap_test_matches_a_fresh_copy(case, seed):
+    state, layout = case
+    core.swap_test(state, layout, "t1", "t2", rng_for(seed))
+    p1 = core.swap_probability(state, layout, "t1", "t2")
+    for outcome, weight in ((0, 1.0 - p1), (1, p1)):
+        if weight < 1e-15:
+            with pytest.raises(ValueError, match="zero weight"):
+                core.swap_project(state, layout, "t1", "t2", outcome)
+            continue
+        got = core.swap_project(state, layout, "t1", "t2", outcome)
+        want = core.swap_project(fresh(state), layout, "t1", "t2", outcome)
+        assert list(got.amplitudes.items()) == list(want.amplitudes.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(joint_states(), st.integers(0, 2**32 - 1))
+def test_post_states_memoise_like_constructed_states(case, seed):
+    """Post-states are built without the validating constructor; they keep a
+    memo of their own and sample like an equal constructed state."""
+    state, layout = case
+    posts = [core.measure_register(state, layout, "x" if "x" in layout.names else "p",
+                                   rng_for(seed))[1]]
+    if core.swap_probability(state, layout, "p", "t2") < 1 - 1e-15:
+        posts.append(core.swap_project(state, layout, "p", "t2", 0))
+    for post in posts:
+        copy = fresh(post)
+        for _ in range(2):
+            assert core.swap_probability(post, layout, "p", "t1") == core.swap_probability(
+                copy, layout, "p", "t1")
+            assert same_sample(core.swap_test(post, layout, "p", "t1", rng_for(seed)),
+                               core.swap_test(copy, layout, "p", "t1", rng_for(seed)))
+            assert same_sample(core.measure_register(post, layout, "t2", rng_for(seed)),
+                               core.measure_register(copy, layout, "t2", rng_for(seed)))
+
+
+class FixedDraw:
+    """Stands in for a generator whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_a_draw_at_or_above_the_last_running_sum_takes_the_last_outcome():
+    state = core.SparseState(3, {i: 1.0 for i in range(5)}, normalize=True)
+    layout = core.RegisterLayout([("all", 3)])
+    weights = [abs(a) ** 2 for a in state.amplitudes.values()]
+    # A draw of 1.0 lands on the total, which is not below the last running sum.
+    assert sum(weights) >= list(accumulate(weights))[-1]
+    for _ in range(2):
+        outcome, post = core.measure_register(state, layout, "all", FixedDraw(1.0))
+        assert outcome == 4 == reference_measure(state, layout, "all", FixedDraw(1.0))[0]
+        assert post.amplitudes == {4: 1.0 + 0j}
+        assert core.measure_register(state, layout, "all", FixedDraw(0.0))[0] == 0

@@ -91,6 +91,8 @@ def test_incompatible_scenario_parameters():
         run("nonesuch")
     with pytest.raises(ValueError, match="takes no strategy"):
         run("honest-flow", trials=10, strategy="replay")
+    with pytest.raises(ValueError, match="takes no k"):
+        run("inequality-suite", k=4, trials=20)
 
 
 def test_csv_is_byte_identical_for_identical_specs():
