@@ -26,7 +26,6 @@ from .scheme import (
     SchemeParams,
     SecretString,
     btest,
-    mint,
     report,
     report_emulated,
     token_state,

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RegisterLayout, SparseState
-from .scheme import SecretString, btest, report_emulated
+from .core import RegisterLayout, SparseState, uniform_state
+from .scheme import SecretString, btest, report_emulated, token_wires
 
 FORGER_POLICIES = ("uniform-fresh-index", "replay", "block-collision")
 
@@ -114,13 +114,9 @@ def mint_loaded(secret: SecretString) -> tuple[SparseState, RegisterLayout]:
     stays perfectly correlated with the index the user will report.
     """
     k = secret.k
-    amp = 2.0 ** (-k / 2)
-    amps = {}
-    for i in range(1 << k):
-        token_part = (i << k) | secret.block(i + 1)
-        amps[(i << (2 * k)) | token_part] = amp
+    keys = [(i << 2 * k) | w for i, w in enumerate(token_wires(secret))]
     layout = RegisterLayout([("bank", k), ("token", 2 * k)])
-    return SparseState(3 * k, amps), layout
+    return uniform_state(3 * k, keys), layout
 
 
 def mint_permutation_paired(
@@ -140,13 +136,8 @@ def mint_permutation_paired(
     if arr.shape != (size,) or sorted(int(v) for v in arr) != list(range(size)):
         raise ValueError("perm must be a permutation of [0, 2^k)")
     n = 2 * k
-    amp = 2.0 ** (-k / 2)
-    amps = {}
-    for i in range(size):
-        j = int(arr[i])
-        first = (i << k) | secret.block(i + 1)
-        second = (j << k) | secret.block(j + 1)
-        amps[(first << n) | second] = amp
+    wires = token_wires(secret)
+    keys = [(w << n) | wires[j] for w, j in zip(wires, arr.tolist())]
     layout = RegisterLayout([("token1", n), ("token2", n)])
-    return SparseState(2 * n, amps), layout
+    return uniform_state(2 * n, keys), layout
 

@@ -70,6 +70,19 @@ def report_prime(
     return AuditOutcome(unwire(width // 2, wire), post)
 
 
+def _chain_registers(layout: RegisterLayout) -> tuple[str, tuple[str, ...]]:
+    """The pattern (first register) and the tokens of a chained audit's layout."""
+    names = layout.names
+    if len(names) < 2:
+        raise ValueError("chained audit needs a pattern and at least one token")
+    pattern, tokens = names[0], names[1:]
+    width = layout.width(pattern)
+    for t in tokens:
+        if layout.width(t) != width:
+            raise ValueError("all audited registers must match the pattern width")
+    return pattern, tokens
+
+
 def report_chain(
     joint: SparseState,
     layout: RegisterLayout,
@@ -82,14 +95,7 @@ def report_chain(
     token first and walk down to the second; the first detected mismatch
     aborts. If all pass, the first token goes through ``report_prime``.
     """
-    names = layout.names
-    if len(names) < 2:
-        raise ValueError("chained audit needs a pattern and at least one token")
-    pattern, tokens = names[0], names[1:]
-    width = layout.width(pattern)
-    for t in tokens:
-        if layout.width(t) != width:
-            raise ValueError("all audited registers must match the pattern width")
+    pattern, tokens = _chain_registers(layout)
     state = joint
     for tok in reversed(tokens[1:]):
         bit, state = swap_test(state, layout, pattern, tok, rng)
@@ -107,8 +113,7 @@ def cheat_probability(
 
 def chain_cheat_probability(joint: SparseState, layout: RegisterLayout) -> float:
     """Exact abort probability of the chained audit, via exact post-states."""
-    names = layout.names
-    pattern, tokens = names[0], names[1:]
+    pattern, tokens = _chain_registers(layout)
     total = 0.0
     reach = 1.0
     state = joint

@@ -140,7 +140,11 @@ def _cmd_mint(args) -> int:
     rng = stats.spawn_rng(args.seed)
     series_id = args.series or f"series-{args.seed}"
     secret = scheme.SecretString.random(args.k, rng, series_id)
-    service.register_series(secret)
+    try:
+        service.register_series(secret)
+    except ValueError as exc:
+        service.close()
+        return _refuse(exc)
     print(f"registered series {series_id} (k={args.k}) in {args.log}")
     print("sample honest reports (send as: VERIFY <series> <I> <R_hex>):")
     for index, value in zip(*scheme.report_emulated(secret, rng, args.reports)):

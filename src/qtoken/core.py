@@ -26,7 +26,9 @@ time they are returned. The tracking audit samples the same two joint states
 in every trial, so after the first trial each sample costs one draw and a
 lookup. A sample reads the generator exactly as an uncached walk does and
 returns the same outcome and post-state amplitudes. Two threads filling the
-same entry compute the same value, so the race is benign.
+same entry compute the same value, so the race is benign. The sampled swap
+test, its exact probability and its exact projection all read the one
+memoised split, so a state's register pair is walked once.
 
 The swap test is implemented as what it is mathematically: a two-outcome
 projective measurement onto the symmetric subspace (outcome 0, projector
@@ -66,10 +68,11 @@ class SparseState:
         if num_qubits < 1:
             raise ValueError("state needs at least one qubit")
         dim = 1 << num_qubits
+        # A NaN is kept here, not pruned, so that the norm check below sees it.
         amps = {
             int(i): complex(a)
             for i, a in amplitudes.items()
-            if abs(a) > PRUNE_THRESHOLD
+            if not abs(a) <= PRUNE_THRESHOLD
         }
         if not amps:
             raise ValueError("state has no amplitude above the pruning threshold")
@@ -77,6 +80,8 @@ class SparseState:
             if not 0 <= i < dim:
                 raise ValueError(f"basis index {i} out of range for {num_qubits} qubits")
         norm_sq = sum(abs(a) ** 2 for a in amps.values())
+        if not math.isfinite(norm_sq):
+            raise ValueError(f"state norm^2 = {norm_sq!r} is not finite")
         if normalize:
             scale = 1.0 / math.sqrt(norm_sq)
             amps = {i: a * scale for i, a in amps.items()}
@@ -175,6 +180,14 @@ def _adopt_state(num_qubits: int, amplitudes: dict[int, complex]) -> SparseState
     return state
 
 
+def uniform_state(num_qubits: int, keys: Sequence[int]) -> SparseState:
+    """Equal-weight state over distinct basis indices, stored in the given order."""
+    amps = dict.fromkeys(keys, complex(len(keys) ** -0.5))
+    if len(amps) != len(keys):
+        raise ValueError("basis indices of a uniform state must be distinct")
+    return _adopt_state(num_qubits, amps)
+
+
 def _memoized(state: SparseState, key: tuple, compute):
     """``compute()``, kept on ``state`` under ``key`` after the first call."""
     memo = state._memo
@@ -267,29 +280,20 @@ def _swap_fields(layout: RegisterLayout, reg_a: str, reg_b: str) -> tuple[int, i
     return layout.shift(reg_a), layout.shift(reg_b), layout.mask(reg_a)
 
 
-def _swap_permuter(sa: int, sb: int, mask: int):
-    """Index permutation exchanging the two register fields."""
-
-    def permute(idx: int) -> int:
-        d = ((idx >> sa) ^ (idx >> sb)) & mask
-        return idx ^ (d << sa) ^ (d << sb)
-
-    return permute
-
-
 def _swap_parts(state: SparseState, sa: int, sb: int, mask: int) -> list:
     """[||minus||^2, plus, minus] for the components (v +/- SWAP v)/2.
 
-    Walks each orbit of the swap permutation once: fixed points go straight
-    to the symmetric part, two-element orbits split between both parts.
+    Walks each orbit of the swap permutation, which exchanges the two
+    register fields of an index, once: fixed points go straight to the
+    symmetric part, two-element orbits split between both parts.
     """
-    permute = _swap_permuter(sa, sb, mask)
     amps = state.amplitudes
     plus: dict[int, complex] = {}
     minus: dict[int, complex] = {}
     p1 = 0.0
     for idx, v in amps.items():
-        j = permute(idx)
+        flip = ((idx >> sa) ^ (idx >> sb)) & mask
+        j = idx ^ (flip << sa) ^ (flip << sb)
         if j == idx:
             plus[idx] = v
             continue
@@ -335,24 +339,7 @@ def swap_probability(
     state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str
 ) -> float:
     """Exact probability of swap-test outcome 1, without sampling or collapse."""
-    if layout.num_qubits != state.num_qubits:
-        raise ValueError("layout width does not match state width")
-    permute = _swap_permuter(*_swap_fields(layout, reg_a, reg_b))
-    amps = state.amplitudes
-    p1 = 0.0
-    for idx, v in amps.items():
-        j = permute(idx)
-        if j == idx:
-            continue
-        w = amps.get(j)
-        if w is not None:
-            if j < idx:
-                continue
-            d = (v - w) / 2.0
-            p1 += 2.0 * (d.real * d.real + d.imag * d.imag)
-        else:
-            p1 += (v.real * v.real + v.imag * v.imag) / 2.0
-    return min(max(p1, 0.0), 1.0)
+    return _split(state, layout, reg_a, reg_b)[0]
 
 
 def swap_test(

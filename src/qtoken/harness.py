@@ -206,8 +206,7 @@ def _run_honest_flow(spec: ScenarioSpec) -> ExperimentResult:
         rng = stats.trial_rng(seed, t)
         secret = scheme.SecretString.random(k, rng, f"t{t}")
         sid = service.register_series(secret)
-        token = scheme.mint(secret, 1)[0]
-        index, value = scheme.report(token, rng)
+        index, value = scheme.report(scheme.token_state(secret), rng)
         accepted += service.handle("VERIFY", sid, index, value).status == "OK"
         valid += secret.block(index) == value
         index_counts[index - 1] += 1
@@ -315,22 +314,28 @@ def _run_forgery_scenario(spec: ScenarioSpec) -> ExperimentResult:
 # -- tracking audits ------------------------------------------------------------
 
 
+def _with_pattern(
+    secret: scheme.SecretString, state: SparseState, layout: RegisterLayout
+) -> tuple[SparseState, RegisterLayout]:
+    """An honest ``pattern`` token in front of a minted state and its layout."""
+    pattern = scheme.token_state(secret)
+    registers = [("pattern", pattern.num_qubits)]
+    registers += [(name, layout.width(name)) for name in layout.names]
+    return tensor(pattern, state), RegisterLayout(registers)
+
+
 def _run_tracking_audit(spec: ScenarioSpec) -> ExperimentResult:
     k, trials, seed = spec.k, spec.trials, spec.seed
     size = 1 << k
-    n = 2 * k
     setup = stats.spawn_rng(seed, 0)
     secret = scheme.SecretString.random(k, setup)
-    pattern = scheme.token_state(secret)
 
     loaded, loaded_layout = adversary.mint_loaded(secret)
-    joint_loaded = tensor(pattern, loaded)
-    layout_loaded = RegisterLayout([("pattern", n), ("bank", k), ("token", n)])
+    joint_loaded, layout_loaded = _with_pattern(secret, loaded, loaded_layout)
 
     perm = setup.permutation(size)
     paired, paired_layout = adversary.mint_permutation_paired(secret, perm)
-    joint_paired = tensor(pattern, paired)
-    layout_paired = RegisterLayout([("pattern", n), ("token1", n), ("token2", n)])
+    joint_paired, layout_paired = _with_pattern(secret, paired, paired_layout)
 
     detect_loaded = detect_paired = 0
     for t in range(trials):
@@ -530,14 +535,10 @@ def swap_mixed_checks(rng, instances: int) -> tuple[float, float]:
 
 
 def _loaded_toy_instance(rng) -> tuple[SparseState, RegisterLayout]:
-    """Tiny loaded-style joint state: honest 2-qubit pattern in slot a, a
-    2-qubit token fully correlated with a 1-qubit bank register in slot b."""
+    """Tiny loaded-style joint state: an honest 2-qubit pattern, then a
+    2-qubit token fully correlated with a 1-qubit bank register."""
     secret = scheme.SecretString.random(1, rng)
-    pattern = scheme.token_state(secret)
-    loaded, _ = adversary.mint_loaded(secret)
-    joint = tensor(pattern, loaded)
-    layout = RegisterLayout([("tok_a", 2), ("bank", 1), ("tok_b", 2)])
-    return joint, layout
+    return _with_pattern(secret, *adversary.mint_loaded(secret))
 
 
 def report_indist_checks(rng, instances: int) -> float:
@@ -548,7 +549,7 @@ def report_indist_checks(rng, instances: int) -> float:
     for i in range(instances):
         if i < structured:
             chi, layout = _loaded_toy_instance(rng)
-            gap = audit.anonymity_gap(chi, layout, "bank", "tok_a", "tok_b")
+            gap = audit.anonymity_gap(chi, layout, "bank", "pattern", "token")
         else:
             chi = random_state(6, rng)
             gap = audit.anonymity_gap(chi, _MIXED_LAYOUT, "r0", "r1", "r2")

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RegisterLayout, SparseState, measure_register
+from .core import RegisterLayout, SparseState, measure_register, uniform_state
 
 
 class MintCapExceeded(UserWarning):
@@ -185,19 +185,19 @@ def _token_layout(k: int) -> RegisterLayout:
     return RegisterLayout([("token", 2 * k)])
 
 
+def token_wires(secret: SecretString) -> list[int]:
+    """Wire forms of the series' 2^k valid pairs (i, block_i), in index order."""
+    k = secret.k
+    return ((np.arange(1 << k, dtype=np.uint64) << np.uint64(k)) | secret._blocks).tolist()
+
+
 def token_state(secret: SecretString) -> SparseState:
     """The series' single token state: uniform over (i-1, block_i) pairs."""
-    k = secret.k
-    amp = 2.0 ** (-k / 2)
-    amps = {
-        (i << k) | secret.block(i + 1): amp
-        for i in range(1 << k)
-    }
-    return SparseState(2 * k, amps)
+    return uniform_state(2 * secret.k, token_wires(secret))
 
 
 def mint(secret: SecretString, count: int) -> list[SparseState]:
-    """Mint ``count`` structurally identical tokens for one series.
+    """Mint ``count`` identical tokens for one series: one immutable state, shared.
 
     Requesting more than the per-series cap is allowed for experiments but
     flagged with a ``MintCapExceeded`` warning.
@@ -212,8 +212,7 @@ def mint(secret: SecretString, count: int) -> list[SparseState]:
                 MintCapExceeded,
                 stacklevel=2,
             )
-    proto = token_state(secret)
-    return [SparseState(proto.num_qubits, dict(proto.amplitudes)) for _ in range(count)]
+    return [token_state(secret)] * count
 
 
 def report(token: SparseState, rng: np.random.Generator) -> tuple[int, int]:

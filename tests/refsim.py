@@ -1,7 +1,8 @@
 """Dense numpy reference implementations used as independent oracles.
 
 Everything here works on full statevectors with numpy reshapes, deliberately
-sharing no code with the sparse engine under test. The two-sample
+sharing no code with the sparse engine under test. The token builders
+return plain amplitude maps built one secret block at a time. The two-sample
 chi-squared statistic compares sampled distributions in the tests. Axis 0 of the reshaped
 vector is the most significant bit of the basis index, matching the
 package's register ordering.
@@ -48,6 +49,32 @@ def dense_register_probabilities(vec: np.ndarray, layout, reg: str) -> np.ndarra
     others = tuple(ax for ax in range(n) if ax not in axes)
     probs = np.sum(np.abs(psi) ** 2, axis=others)
     return probs.reshape(-1)
+
+
+def token_amplitudes(secret) -> dict[int, float]:
+    """A token's amplitudes built one block at a time, in index order."""
+    k = secret.k
+    amp = 2.0 ** (-k / 2)
+    return {(i << k) | secret.block(i + 1): amp for i in range(1 << k)}
+
+
+def loaded_amplitudes(secret) -> dict[int, float]:
+    """A loaded mint's amplitudes |i>_bank |i, block_i>_token, one block at a time."""
+    k = secret.k
+    amp = 2.0 ** (-k / 2)
+    return {(i << 2 * k) | (i << k) | secret.block(i + 1): amp for i in range(1 << k)}
+
+
+def paired_amplitudes(secret, perm) -> dict[int, float]:
+    """A permutation-paired mint's amplitudes, one pair of blocks at a time."""
+    k = secret.k
+    amp = 2.0 ** (-k / 2)
+    amps = {}
+    for i, j in enumerate(int(j) for j in perm):
+        first = (i << k) | secret.block(i + 1)
+        second = (j << k) | secret.block(j + 1)
+        amps[(first << 2 * k) | second] = amp
+    return amps
 
 
 def chi_squared_two_sample(counts_a, counts_b) -> tuple[float, int]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import refsim
 from qtoken import adversary, core, scheme, stats
 
 
@@ -225,3 +226,30 @@ def test_paired_marginal_message_distribution_is_honest():
         counts[wire >> k] += 1
     _, _, ok = stats.uniformity_passes(counts, significance=0.001)
     assert ok
+
+
+# -- token builders --------------------------------------------------------------
+
+
+def assert_same_amplitudes(state, reference):
+    """Same keys in the same insertion order and bit-equal complex values."""
+    assert list(state.amplitudes.items()) == list(reference.amplitudes.items())
+    assert all(type(a) is complex for a in state.amplitudes.values())
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_token_builders_match_the_per_block_construction(k, seed):
+    rng = rng_for(seed)
+    secret = scheme.SecretString.random(k, rng)
+    perm = rng.permutation(1 << k)
+    assert_same_amplitudes(
+        scheme.token_state(secret),
+        core.SparseState(2 * k, refsim.token_amplitudes(secret)),
+    )
+    loaded, _ = adversary.mint_loaded(secret)
+    assert_same_amplitudes(loaded, core.SparseState(3 * k, refsim.loaded_amplitudes(secret)))
+    paired, _ = adversary.mint_permutation_paired(secret, perm)
+    assert_same_amplitudes(
+        paired, core.SparseState(4 * k, refsim.paired_amplitudes(secret, perm))
+    )

@@ -148,6 +148,28 @@ def test_chain_aborts_on_orthogonal_register():
     assert abs(aborts / trials - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
 
 
+CHAINED_AUDITS = {
+    "report_chain": lambda chi, layout: audit.report_chain(chi, layout, rng_for(0)),
+    "chain_cheat_probability": audit.chain_cheat_probability,
+}
+
+
+@pytest.mark.parametrize(
+    "registers, message",
+    [
+        ([("p", 2)], "needs a pattern and at least one token"),
+        ([("p", 2), ("t1", 2), ("t2", 4)], "must match the pattern width"),
+    ],
+    ids=["pattern-only", "wider-token"],
+)
+@pytest.mark.parametrize("name", sorted(CHAINED_AUDITS))
+def test_chained_audits_refuse_the_same_layouts(name, registers, message):
+    layout = core.RegisterLayout(registers)
+    chi = core.random_state(layout.num_qubits, rng_for(12))
+    with pytest.raises(ValueError, match=message):
+        CHAINED_AUDITS[name](chi, layout)
+
+
 def test_chain_abort_probability_dominates_single_audit():
     rng = rng_for(11)
     layout = core.RegisterLayout([("p", 2), ("t1", 2), ("t2", 2)])

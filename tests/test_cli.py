@@ -74,6 +74,23 @@ def test_mint_refuses_negative_reports_before_creating_the_log(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "series_args, message",
+    [([], "already registered"), (["--series", "a b"], "no whitespace")],
+    ids=["taken", "malformed"],
+)
+def test_mint_refuses_a_taken_or_malformed_series_id(tmp_path, capsys, series_args, message):
+    log = tmp_path / "bank.log"
+    assert cli.main(["mint", "--log", str(log), "--k", "4"]) == 0
+    logged = log.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["mint", "--log", str(log), "--k", "4", *series_args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert log.read_bytes() == logged
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["run", "forgery", "--k", "6"], "positive multiple of 4"),

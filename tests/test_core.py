@@ -56,6 +56,22 @@ def test_rejects_out_of_range_index():
         core.SparseState(1, {2: 1.0})
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), complex(0.0, float("nan")), float("inf"), float("-inf")]
+)
+def test_rejects_non_finite_amplitudes(bad, normalize):
+    with pytest.raises(ValueError, match="not finite"):
+        core.SparseState(1, {0: 1.0, 1: bad}, normalize=normalize)
+
+
+def test_uniform_state_keeps_key_order_and_refuses_repeats():
+    state = core.uniform_state(2, [3, 0])
+    assert list(state.amplitudes.items()) == [(3, 2**-0.5 + 0j), (0, 2**-0.5 + 0j)]
+    with pytest.raises(ValueError, match="distinct"):
+        core.uniform_state(2, [3, 0, 3])
+
+
 def test_prunes_tiny_amplitudes():
     s = core.SparseState(1, {0: 1.0, 1: 1e-13})
     assert 1 not in s.amplitudes

@@ -129,6 +129,13 @@ def test_minted_tokens_are_identical():
         assert abs(np.vdot(a.dense(), b.dense()) - 1.0) <= 1e-9
 
 
+def test_mint_returns_one_shared_token_state():
+    secret = scheme.SecretString.random(8, rng_for(6))
+    tokens = scheme.mint(secret, 3)
+    assert len(tokens) == 3 and all(t is tokens[0] for t in tokens)
+    assert tokens[0].amplitudes == scheme.token_state(secret).amplitudes
+
+
 def test_all_zero_secret_reports_zero_value():
     secret = scheme.SecretString(4, [0] * 16)
     token = scheme.token_state(secret)
