@@ -76,7 +76,7 @@ def run_forgery(
             guesses = values[np.arange(extra) % q]
         indices = np.concatenate([indices, fresh])
         values = np.concatenate([values, guesses])
-    accepted = btest(secret, indices, values).count("1")
+    accepted = int(np.count_nonzero(btest(secret, indices, values)))
     return accepted, len(indices)
 
 

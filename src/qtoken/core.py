@@ -22,7 +22,8 @@ register pair (outcome-1 probability and the two post-states) and the
 outcome marginal of a register (values, running probability sums and one
 post-state per outcome). Entries are keyed by the register fields (shifts
 and mask), never by a layout's identity, and post-states are built the first
-time they are returned. The tracking audit samples the same two joint states
+time they are returned, from the outcome's amplitudes that the marginal walk
+set aside. The tracking audit samples the same two joint states
 in every trial, so after the first trial each sample costs one draw and a
 lookup. A sample reads the generator exactly as an uncached walk does and
 returns the same outcome and post-state amplitudes. Two threads filling the
@@ -224,16 +225,23 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
 
 def _marginal(
     state: SparseState, shift: int, mask: int
-) -> tuple[list[int], list[float], float, list[SparseState | None]]:
+) -> tuple[list[int], list[float], float, list]:
     """One register field's outcome values in first-seen order, their running
-    probability sums, the total probability, and an empty post-state slot per
-    value."""
+    probability sums, the total probability, and per value the bucket of its
+    amplitudes in state order, which its post-state replaces once built."""
     weights: dict[int, float] = {}
+    buckets: dict[int, dict[int, complex]] = {}
     for idx, amp in state.amplitudes.items():
         val = (idx >> shift) & mask
-        weights[val] = weights.get(val, 0.0) + abs(amp) ** 2
+        bucket = buckets.get(val)
+        if bucket is None:
+            buckets[val] = {idx: amp}
+            weights[val] = abs(amp) ** 2
+        else:
+            bucket[idx] = amp
+            weights[val] += abs(amp) ** 2
     values = list(weights)
-    return values, list(accumulate(weights.values())), sum(weights.values()), [None] * len(values)
+    return values, list(accumulate(weights.values())), sum(weights.values()), list(buckets.values())
 
 
 def measure_register(
@@ -258,17 +266,13 @@ def measure_register(
     # The first value whose running sum exceeds the draw; rounding can leave
     # the draw at or above the last sum, and then the last value is taken.
     pick = min(bisect_right(accs, rng.random() * total), len(values) - 1)
-    outcome = values[pick]
     post = posts[pick]
-    if post is None:
-        kept = {}
+    if isinstance(post, dict):
         norm_sq = 0.0
-        for idx, amp in state.amplitudes.items():
-            if (idx >> shift) & mask == outcome:
-                kept[idx] = amp
-                norm_sq += amp.real * amp.real + amp.imag * amp.imag
-        post = posts[pick] = _normalized_state(state.num_qubits, kept, norm_sq)
-    return outcome, post
+        for amp in post.values():
+            norm_sq += amp.real * amp.real + amp.imag * amp.imag
+        post = posts[pick] = _normalized_state(state.num_qubits, post, norm_sq)
+    return values[pick], post
 
 
 def _swap_fields(layout: RegisterLayout, reg_a: str, reg_b: str) -> tuple[int, int, int]:

@@ -92,7 +92,27 @@ class SecretString:
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator, series_id: str = "s0") -> SecretString:
-        return cls(k, rng.integers(0, 1 << k, size=1 << k, dtype=np.uint64), series_id)
+        """A uniform secret: the table ``rng.integers(0, 2^k, size=2^k, dtype=uint64)``.
+
+        ``integers`` over a power-of-two range 2^k <= 2^32 never rejects under
+        Lemire's multiply-shift: each block is the top k bits of one 32-bit
+        word, and each 64-bit PCG64 output gives two words, low half first.
+        So when ``rng`` draws from a PCG64 holding no pending 32-bit half, the
+        table is read straight from 2^(k-1) raw outputs; it is the same table
+        and leaves the generator in the same state. Any other generator, or a
+        PCG64 with a pending half, goes through ``integers`` itself.
+        """
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64 or k > 32 or bitgen.state["has_uint32"]:
+            return cls(k, rng.integers(0, 1 << k, size=1 << k, dtype=np.uint64), series_id)
+        # Little-endian bytes put each output's low half first on any host.
+        words = bitgen.random_raw(1 << (k - 1)).astype("<u8", copy=False).view("<u4")
+        # The shift bounds every block, so the constructor's range check is moot.
+        secret = cls.__new__(cls)
+        secret.k = k
+        secret.series_id = series_id
+        secret._blocks = (words >> np.uint32(32 - k)).astype(np.uint64)
+        return secret
 
     def block(self, index: int) -> int:
         """Value of block ``index`` (1-based)."""
@@ -235,15 +255,31 @@ def report_emulated(
     return indices, secret._blocks[indices - 1]
 
 
-def btest(secret: SecretString, indices, values) -> str:
-    """Run a batch of (index, value) pairs through one fresh ledger.
+def btest(secret: SecretString, indices, values) -> np.ndarray:
+    """Run a batch of (index, value) pairs through one fresh ledger at once.
 
-    Every submission is recorded whether or not it is accepted, matching the
-    bank's bookkeeping; the result is one acceptance bit per position.
+    Returns one acceptance flag per position, as a sequential ``Ledger``
+    would decide them: a pair is accepted when its value is the block at its
+    index and it is the first submission of its wire form in the batch, since
+    every submission is spent whether or not it is accepted. The batch never
+    exceeds the attempt budget, so the budget needs no check per pair. An
+    index outside [1, 2^k] or a value outside [0, 2^k) raises ``ValueError``.
     """
-    cap = SchemeParams.for_k(secret.k).cap_test
+    k = secret.k
+    cap = SchemeParams.for_k(k).cap_test
     if len(indices) > cap:
         raise ValueError(f"{len(indices)} reports exceed the attempt budget {cap}")
-    ledger = Ledger(secret, cap)
-    pairs = zip(np.asarray(indices).tolist(), np.asarray(values).tolist())
-    return "".join("1" if ledger.verify(i, v) is None else "0" for i, v in pairs)
+    idx = np.asarray(indices, dtype=np.int64)
+    val = np.asarray(values, dtype=np.int64)
+    if idx.ndim != 1 or idx.shape != val.shape:
+        raise ValueError("indices and values must be 1-d and of equal length")
+    if idx.size == 0:
+        return np.zeros(0, dtype=bool)
+    size = 1 << k
+    if idx.min() < 1 or idx.max() > size:
+        raise ValueError(f"block index out of range [1, {size}]")
+    if val.min() < 0 or val.max() >= size:
+        raise ValueError(f"report value out of range [0, {size})")
+    fresh = np.zeros(idx.size, dtype=bool)
+    fresh[np.unique(((idx - 1) << k) | val, return_index=True)[1]] = True
+    return (secret._blocks[idx - 1] == val) & fresh

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refsim
-from qtoken import core, scheme
+from qtoken import adversary, core, scheme
 
 TOL = 1e-9
 
@@ -510,6 +510,12 @@ def reference_measure(state, layout, reg, rng):
         acc += w
         if x < acc:
             break
+    return outcome, filtered_post(state, shift, mask, outcome)
+
+
+def filtered_post(state, shift, mask, outcome):
+    """The post-state amplitudes of ``outcome`` from one filtered walk over the
+    whole state, in state order."""
     kept = {}
     norm_sq = 0.0
     for idx, amp in state.amplitudes.items():
@@ -517,7 +523,7 @@ def reference_measure(state, layout, reg, rng):
             kept[idx] = amp
             norm_sq += amp.real * amp.real + amp.imag * amp.imag
     scale = 1.0 / math.sqrt(norm_sq)
-    return outcome, [(i, a * scale) for i, a in kept.items() if abs(a * scale) > core.PRUNE_THRESHOLD]
+    return [(i, a * scale) for i, a in kept.items() if abs(a * scale) > core.PRUNE_THRESHOLD]
 
 
 def same_sample(got, want):
@@ -633,3 +639,32 @@ def test_a_draw_at_or_above_the_last_running_sum_takes_the_last_outcome():
         assert outcome == 4 == reference_measure(state, layout, "all", FixedDraw(1.0))[0]
         assert post.amplitudes == {4: 1.0 + 0j}
         assert core.measure_register(state, layout, "all", FixedDraw(0.0))[0] == 0
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_bucketed_post_states_equal_the_filtered_walk(k):
+    """Post-states built from the marginal walk's buckets equal, bit for bit,
+    the filtered walk over the whole state, on the tracking audit's joint
+    state: a pattern token in front of a loaded token."""
+    secret = scheme.SecretString.random(k, rng_for(k))
+    loaded, _ = adversary.mint_loaded(secret)
+    state = core.tensor(scheme.token_state(secret), loaded)
+    layout = core.RegisterLayout([("pattern", 2 * k), ("bank", k), ("token", 2 * k)])
+    for reg in layout.names:
+        shift, mask = layout.shift(reg), layout.mask(reg)
+        weights = {}
+        for idx, amp in state.amplitudes.items():
+            val = (idx >> shift) & mask
+            weights[val] = weights.get(val, 0.0) + abs(amp) ** 2
+        values, accs = list(weights), list(accumulate(weights.values()))
+        total = sum(weights.values())
+        # Every outcome up to k=4; at k=8 the filtered walk is too slow for
+        # all 256, so every 51st, the first and the last.
+        picks = range(len(values)) if k < 8 else [*range(0, len(values), 51), len(values) - 1]
+        for pick in picks:
+            low = accs[pick - 1] if pick else 0.0
+            draw = FixedDraw((low + accs[pick]) / 2 / total)
+            for _ in range(2):  # the first draw builds the post-state, the second reads it
+                outcome, post = core.measure_register(state, layout, reg, draw)
+                assert outcome == values[pick]
+                assert list(post.amplitudes.items()) == filtered_post(state, shift, mask, outcome)

@@ -71,6 +71,30 @@ def test_secret_hex_length_and_width_checks():
     assert scheme.SecretString.from_hex(2, "0f").bits() == "00001111"
 
 
+@pytest.mark.parametrize("k", range(1, 21))
+def test_secret_draw_is_the_integers_table(k):
+    """The raw-word draw gives the table and the generator state that
+    ``integers`` gives, on PCG64 and on both fallbacks: another bit
+    generator, and a PCG64 holding a pending 32-bit half."""
+    seeds = np.random.default_rng(1000 + k).integers(0, 2**63, size=3).tolist()
+    for seed in seeds:
+        for make, pending in (
+            (lambda s: np.random.default_rng(s), False),
+            (lambda s: np.random.Generator(np.random.Philox(s)), False),
+            (lambda s: np.random.default_rng(s), True),
+        ):
+            rng, ref = make(seed), make(seed)
+            if pending:
+                for g in (rng, ref):
+                    g.integers(0, 2**32, dtype=np.uint32)
+            secret = scheme.SecretString.random(k, rng)
+            want = ref.integers(0, 1 << k, size=1 << k, dtype=np.uint64)
+            assert secret._blocks.dtype == np.uint64
+            assert np.array_equal(secret._blocks, want)
+            assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+            assert rng.random() == ref.random()
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
 def test_secret_is_exactly_a_2k_block_table(k, seed):
@@ -232,9 +256,20 @@ def test_test_rejects_duplicates_and_mismatches():
 def test_btest_examples():
     secret = scheme.SecretString(4, list(range(16)))
     fresh = [1, 2, 3]
-    assert scheme.btest(secret, fresh, [secret.block(i) for i in fresh]) == "111"
-    assert scheme.btest(secret, [1, 1], [secret.block(1)] * 2) == "10"
-    assert scheme.btest(secret, fresh, [secret.block(i) ^ 1 for i in fresh]) == "000"
+    assert scheme.btest(secret, fresh, [secret.block(i) for i in fresh]).tolist() == [True] * 3
+    assert scheme.btest(secret, [1, 1], [secret.block(1)] * 2).tolist() == [True, False]
+    assert scheme.btest(secret, fresh, [secret.block(i) ^ 1 for i in fresh]).tolist() == [False] * 3
+    assert scheme.btest(secret, [], []).tolist() == []
+
+
+def test_btest_refuses_out_of_range_pairs():
+    """An out-of-range value would OR into the index bits of its wire form
+    and spend another pair: (1, 16) has the wire form of the honest (2, 0)."""
+    secret = scheme.SecretString(4, [5, 0] + [1] * 14)
+    assert scheme.btest(secret, [2], [0]).tolist() == [True]
+    for indices, values in (([1, 2], [16, 0]), ([1, 2], [-1, 0]), ([0], [5]), ([17], [1])):
+        with pytest.raises(ValueError, match="out of range"):
+            scheme.btest(secret, indices, values)
 
 
 def test_btest_budget_enforced():
@@ -248,9 +283,41 @@ def test_btest_accept_count_bounded_by_distinct_valid_pairs():
     secret = scheme.SecretString.random(4, rng)
     for _ in range(50):
         pairs = [(int(rng.integers(1, 17)), int(rng.integers(0, 16))) for _ in range(4)]
-        accepted = scheme.btest(secret, *zip(*pairs)).count("1")
+        accepted = np.count_nonzero(scheme.btest(secret, *zip(*pairs)))
         distinct_valid = len({(i, v) for i, v in pairs if secret.block(i) == v})
         assert accepted <= distinct_valid
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.sampled_from([4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.lists(st.tuples(st.integers(1, 6), st.booleans(), st.integers(1, 2**8)),
+                   max_size=16),
+    bad=st.none() | st.tuples(st.integers(0, 15), st.integers(-300, 300)),
+)
+def test_btest_decides_like_a_sequential_ledger(k, seed, draws, bad):
+    """Array ``btest`` accepts exactly the positions that ``Ledger.verify``
+    accepts one by one; a batch with an out-of-range value is refused."""
+    secret = scheme.SecretString.random(k, rng_for(seed))
+    cap = scheme.SchemeParams.for_k(k).cap_test
+    draws = draws[:cap]
+    size = 1 << k
+    indices, values = [], []
+    for pool_index, honest, noise in draws:  # indices from a small pool, so pairs repeat
+        index = 1 + (pool_index * 37) % size
+        indices.append(index)
+        values.append(secret.block(index) ^ (0 if honest else noise % size or 1))
+    if bad is not None and draws:
+        position, offset = bad
+        values[position % len(values)] = size + offset if offset >= 0 else offset
+        with pytest.raises(ValueError, match="out of range"):
+            scheme.btest(secret, indices, values)
+        return
+    ledger = scheme.Ledger(secret, cap)
+    want = [ledger.verify(i, v) is None for i, v in zip(indices, values)]
+    got = scheme.btest(secret, np.array(indices), np.array(values, dtype=np.uint64))
+    assert got.dtype == bool and got.tolist() == want
 
 
 def test_monotone_rejection():
