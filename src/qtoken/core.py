@@ -165,7 +165,8 @@ class DensityMatrix:
             raise ValueError(f"entries shape {m.shape} does not match dim {self.dim}")
         if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL or abs(np.trace(m).imag) > NORM_TOL:
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > NORM_TOL or abs(trace.imag) > NORM_TOL:
             raise ValueError("density matrix trace is not 1 within tolerance")
         # Full eigenvalue checks get expensive; keep them for desk-scale dims.
         if self.dim <= 256 and np.linalg.eigvalsh(m).min() < -NORM_TOL:
@@ -407,34 +408,42 @@ def reduced_density(
             f"kept registers span {kept_width} qubits, "
             f"above the dense limit {DENSE_QUBIT_LIMIT}"
         )
-    kept_fields = [(layout.shift(n), layout.mask(n), layout.width(n)) for n in kept_names]
-    traced_fields = [
-        (layout.shift(n), layout.mask(n), layout.width(n))
-        for n in layout.names
-        if n not in kept_names
-    ]
+    amps = state.amplitudes
+    # Indices wider than 64 bits stay Python ints in an object array.
+    idx = np.fromiter(amps, np.uint64 if state.num_qubits <= 64 else object, len(amps))
+    vals = np.fromiter(amps.values(), complex, len(amps))
+    kept = np.zeros(len(amps), np.intp)
+    kept_bits = 0
+    for n in kept_names:
+        shift, mask = layout.shift(n), layout.mask(n)
+        kept = (kept << layout.width(n)) | ((idx >> shift) & mask).astype(np.intp)
+        kept_bits |= mask << shift
+    # The traced fields of an index are its bits outside the kept registers.
+    # Amplitudes that share them form one group; groups are ranked in
+    # first-seen order and stably sorted, so each keeps its state order.
+    env = (idx & ((1 << state.num_qubits) - 1 - kept_bits)).tolist()
+    rank = {e: r for r, e in enumerate(dict.fromkeys(env))}
+    group = np.fromiter(map(rank.__getitem__, env), np.intp, len(env))
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    kept, re, im = kept[order], vals.real[order], vals.imag[order]
 
-    groups: dict[int, list[tuple[int, complex]]] = {}
-    for idx, amp in state.amplitudes.items():
-        kept_idx = 0
-        for shift, mask, width in kept_fields:
-            kept_idx = (kept_idx << width) | ((idx >> shift) & mask)
-        env_idx = 0
-        for shift, mask, width in traced_fields:
-            env_idx = (env_idx << width) | ((idx >> shift) & mask)
-        groups.setdefault(env_idx, []).append((kept_idx, amp))
-
-    # Accumulate in a flat list of Python complex numbers: the same additions
-    # in the same order as on the array, without per-element indexing costs.
+    # Every within-group pair (a, b), a-major, in group order: the scalar
+    # walk's order, so np.add.at sums each cell's terms in the same sequence.
+    reps = np.repeat(sizes, sizes)
+    ends = np.cumsum(reps)
+    group_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    a = np.repeat(np.arange(len(reps)), reps)
+    b = np.arange(ends[-1]) + np.repeat(group_start - (ends - reps), reps)
     dim = 1 << kept_width
-    acc = [0j] * (dim * dim)
-    for entries in groups.values():
-        for a, amp_a in entries:
-            row = a * dim
-            for b, amp_b in entries:
-                acc[row + b] += amp_a * amp_b.conjugate()
-    rho = np.array(acc, dtype=complex).reshape(dim, dim)
-    return DensityMatrix(dim, rho)
+    cell = kept[a] * dim + kept[b]
+    # Python's amp_a * amp_b.conjugate(), part by part, without fused ops,
+    # added into the real and imaginary views of the matrix.
+    ar, ai, br, nbi = re[a], im[a], re[b], -im[b]
+    rho = np.zeros(dim * dim, complex)
+    np.add.at(rho.real, cell, ar * br - ai * nbi)
+    np.add.at(rho.imag, cell, ar * nbi + ai * br)
+    return DensityMatrix(dim, rho.reshape(dim, dim))
 
 
 def trace_distance_advantage(r1: DensityMatrix, r2: DensityMatrix) -> float:
@@ -455,10 +464,11 @@ def swap_probability_density(rho: DensityMatrix) -> float:
     half_dim = math.isqrt(rho.dim)
     if half_dim * half_dim != rho.dim:
         raise ValueError("density matrix is not over two equal-width registers")
+    # SWAP-diagonal entries rho[a*h + b, b*h + a], summed in (a, b) order.
+    a, b = np.divmod(np.arange(rho.dim), half_dim)
     tr = 0.0
-    for a in range(half_dim):
-        for b in range(half_dim):
-            tr += rho.entries[a * half_dim + b, b * half_dim + a].real
+    for x in rho.entries[a * half_dim + b, b * half_dim + a].real.tolist():
+        tr += x
     return min(max((1.0 - tr) / 2.0, 0.0), 1.0)
 
 
@@ -467,4 +477,4 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> SparseState:
     dim = 1 << num_qubits
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     vec /= np.linalg.norm(vec)
-    return SparseState(num_qubits, {i: vec[i] for i in range(dim)}, normalize=True)
+    return SparseState(num_qubits, dict(enumerate(vec.tolist())), normalize=True)

@@ -169,9 +169,16 @@ class Ledger:
         self.spent: dict[int, bool] = {}  # wire -> consumed as a pad
 
     def check(self, index: int, value: int) -> str | None:
-        """Why verifying (index, value) now would be rejected, or None. Pure."""
+        """Why verifying (index, value) now would be rejected, or None. Pure.
+
+        An index outside [1, 2^k] or a value outside [0, 2^k) raises
+        ``ValueError``: such a value would OR into the index bits of its wire
+        form and spend another pair.
+        """
         if self.cap is not None and self.attempts >= self.cap:
             return "budget-exhausted"
+        if not 0 <= value < 1 << self.k:
+            raise ValueError(f"report value {value} out of range [0, {1 << self.k})")
         if self.secret.block(index) != value:
             return "bad-value"
         if wire(self.k, index, value) in self.spent:

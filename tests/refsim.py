@@ -2,7 +2,9 @@
 
 Everything here works on full statevectors with numpy reshapes, deliberately
 sharing no code with the sparse engine under test. The token builders
-return plain amplitude maps built one secret block at a time. The two-sample
+return plain amplitude maps built one secret block at a time. The scalar
+partial trace is the sparse engine's original Python walk, kept as the
+bit-exact reference for its array kernel. The two-sample
 chi-squared statistic compares sampled distributions in the tests. Axis 0 of the reshaped
 vector is the most significant bit of the basis index, matching the
 package's register ordering.
@@ -40,6 +42,42 @@ def dense_reduced_density(vec: np.ndarray, layout, keep: list[str]) -> np.ndarra
     psi = np.transpose(psi, kept_axes + traced_axes)
     mat = psi.reshape(2 ** len(kept_axes), 2 ** len(traced_axes))
     return mat @ mat.conj().T
+
+
+def scalar_reduced_density(state, layout, keep) -> np.ndarray:
+    """The sparse engine's original partial trace: one Python walk that groups
+    amplitudes by their traced fields in first-seen order and adds
+    ``amp_a * amp_b.conjugate()`` cell by cell. The array kernel in
+    ``core.reduced_density`` must reproduce it bit for bit."""
+    kept_names = [keep] if isinstance(keep, str) else list(keep)
+    kept_width = sum(layout.width(n) for n in kept_names)
+    kept_fields = [(layout.shift(n), layout.mask(n), layout.width(n)) for n in kept_names]
+    traced_fields = [
+        (layout.shift(n), layout.mask(n), layout.width(n))
+        for n in layout.names
+        if n not in kept_names
+    ]
+
+    groups: dict[int, list[tuple[int, complex]]] = {}
+    for idx, amp in state.amplitudes.items():
+        kept_idx = 0
+        for shift, mask, width in kept_fields:
+            kept_idx = (kept_idx << width) | ((idx >> shift) & mask)
+        env_idx = 0
+        for shift, mask, width in traced_fields:
+            env_idx = (env_idx << width) | ((idx >> shift) & mask)
+        groups.setdefault(env_idx, []).append((kept_idx, amp))
+
+    # Accumulate in a flat list of Python complex numbers: the same additions
+    # in the same order as on the array, without per-element indexing costs.
+    dim = 1 << kept_width
+    acc = [0j] * (dim * dim)
+    for entries in groups.values():
+        for a, amp_a in entries:
+            row = a * dim
+            for b, amp_b in entries:
+                acc[row + b] += amp_a * amp_b.conjugate()
+    return np.array(acc, dtype=complex).reshape(dim, dim)
 
 
 def dense_register_probabilities(vec: np.ndarray, layout, reg: str) -> np.ndarray:

@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import refsim
@@ -388,6 +388,63 @@ def test_reduced_density_matches_dense_oracle_with_reordering():
         assert np.allclose(got.entries, want, atol=TOL)
 
 
+@st.composite
+def partial_traces(draw):
+    """(state, layout, keep): a random state on a random layout, its keys in
+    unsorted order, sometimes a swap post-state, its parts drawn with exact
+    zeros of both signs, and kept registers in permuted order up to 8 qubits."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    layout = core.RegisterLayout([(f"r{i}", w) for i, w in enumerate(widths)])
+    n = layout.num_qubits
+    part = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+    size = 1 << n
+    if size <= 64:  # dense enough that a cell gathers terms from many groups
+        support = draw(st.permutations(range(size)))[: draw(st.integers(1, size))]
+    else:
+        support = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=48, unique=True))
+    amps = {i: complex(draw(part), draw(part)) for i in support}
+    assume(max(abs(a) for a in amps.values()) > 1e-3)
+    state = core.SparseState(n, amps, normalize=True)
+    pairs = [(a, b) for a in layout.names for b in layout.names
+             if a < b and layout.width(a) == layout.width(b)]
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        p1 = core.swap_probability(state, layout, a, b)
+        outcome = draw(st.integers(0, 1)) if 1e-6 < p1 < 1 - 1e-6 else int(p1 > 0.5)
+        state = core.swap_project(state, layout, a, b, outcome)
+    keep = []
+    for name in draw(st.permutations(layout.names)):
+        if sum(layout.width(k) for k in keep) + layout.width(name) > 8:
+            break
+        keep.append(name)
+    return state, layout, keep[: draw(st.integers(1, len(keep)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_traces())
+def test_reduced_density_equals_the_scalar_walk_bit_for_bit(case):
+    state, layout, keep = case
+    got = core.reduced_density(state, layout, keep).entries
+    want = refsim.scalar_reduced_density(state, layout, keep)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "widths", [(core.DENSE_QUBIT_LIMIT // 2, 2, core.DENSE_QUBIT_LIMIT // 2), (3, 58, 3), (3, 64, 3)]
+)
+def test_reduced_density_of_wide_layouts_equals_the_scalar_walk(widths):
+    """A kept width of DENSE_QUBIT_LIMIT, and indices of 64 bits and more with
+    the top bit set, on a small support; registers kept out of order."""
+    layout = core.RegisterLayout(list(zip(("a", "env", "b"), widths)))
+    n = layout.num_qubits
+    rng = rng_for(31)
+    support = {(1 << n) - 1} | {int.from_bytes(rng.bytes(9), "big") % (1 << n) for _ in range(23)}
+    amps = {i: complex(*rng.normal(size=2)) for i in support}
+    state = core.SparseState(n, amps, normalize=True)
+    got = core.reduced_density(state, layout, ["b", "a"]).entries
+    assert got.tobytes() == refsim.scalar_reduced_density(state, layout, ["b", "a"]).tobytes()
+
+
 def test_reduced_density_respects_dense_limit():
     layout = core.RegisterLayout([("a", 7), ("b", 7)])
     state = core.SparseState(14, {0: 1.0})
@@ -426,10 +483,13 @@ def test_swap_probability_density_matches_pure_route():
     for _ in range(10):
         state = core.random_state(6, rng)
         sigma = core.reduced_density(state, layout, ["a", "b"])
-        assert abs(
-            core.swap_probability_density(sigma)
-            - core.swap_probability(state, layout, "a", "b")
-        ) <= TOL
+        p_mixed = core.swap_probability_density(sigma)
+        assert abs(p_mixed - core.swap_probability(state, layout, "a", "b")) <= TOL
+        tr = 0.0  # Tr[SWAP sigma], one entry at a time in (a, b) order
+        for a in range(4):
+            for b in range(4):
+                tr += sigma.entries[a * 4 + b, b * 4 + a].real
+        assert p_mixed == min(max((1.0 - tr) / 2.0, 0.0), 1.0)
 
 
 def test_loaded_joint_detection_probability_via_both_routes():

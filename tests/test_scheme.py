@@ -253,6 +253,20 @@ def test_test_rejects_duplicates_and_mismatches():
     assert scheme.Ledger(secret).check(3, secret.block(3) ^ 1) == "bad-value"
 
 
+def test_ledger_refuses_out_of_range_values():
+    """A value of 2^k or more would OR into the index bits of its wire form:
+    at k=4, verifying (1, 16) used to spend the honest pair (2, 0)."""
+    secret = scheme.SecretString(4, [5, 0] + list(range(14)))
+    ledger = scheme.Ledger(secret)
+    for value in (16, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            ledger.verify(1, value)
+        with pytest.raises(ValueError, match="out of range"):
+            ledger.check(1, value)
+    assert ledger.attempts == 0 and not ledger.spent
+    assert ledger.verify(2, 0) is None
+
+
 def test_btest_examples():
     secret = scheme.SecretString(4, list(range(16)))
     fresh = [1, 2, 3]
