@@ -171,9 +171,9 @@ class Ledger:
     def check(self, index: int, value: int) -> str | None:
         """Why verifying (index, value) now would be rejected, or None. Pure.
 
-        An index outside [1, 2^k] or a value outside [0, 2^k) raises
-        ``ValueError``: such a value would OR into the index bits of its wire
-        form and spend another pair.
+        Within the budget, an index outside [1, 2^k] or a value outside
+        [0, 2^k) raises ``ValueError``: such a value would OR into the index
+        bits of its wire form and spend another pair.
         """
         if self.cap is not None and self.attempts >= self.cap:
             return "budget-exhausted"
