@@ -37,27 +37,6 @@ from .core import (
     trace_distance_advantage,
 )
 
-SCENARIOS = (
-    "honest-flow",
-    "adversarial-history",
-    "forgery",
-    "tracking-audit",
-    "otp-roundtrip",
-    "voting",
-    "inequality-suite",
-)
-
-_DEFAULTS = {
-    "honest-flow": (4, 100_000),
-    "adversarial-history": (4, 100_000),
-    "forgery": (16, 100_000),
-    "tracking-audit": (4, 100_000),
-    "otp-roundtrip": (16, 1000),
-    "voting": (16, 500),
-    "inequality-suite": (None, None),
-}
-
-_QUANTUM_SCENARIOS = {"honest-flow", "adversarial-history", "tracking-audit"}
 _MAX_QUANTUM_K = 8
 _MAX_EMULATED_K = 20
 
@@ -99,7 +78,6 @@ class MetricResult:
 class ExperimentResult:
     scenario: str
     k: int | None
-    trials: int | None
     seed: int
     metrics: tuple[MetricResult, ...]
 
@@ -107,26 +85,26 @@ class ExperimentResult:
         return all(m.passed for m in self.metrics)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "scenario", "k", "seed", "metric", "trials", "estimate",
-                "interval_low", "interval_high", "expected", "relation",
-                "pass", "claim",
-            ]
-        )
         k_text = "" if self.k is None else str(self.k)
-        for m in self.metrics:
-            writer.writerow(
-                [
-                    self.scenario, k_text, self.seed, m.metric, m.trials,
-                    repr(float(m.estimate)), repr(float(m.interval_low)),
-                    repr(float(m.interval_high)), repr(float(m.expected)),
-                    m.relation, str(m.passed).lower(), m.claim,
-                ]
-            )
-        return buf.getvalue()
+        return _csv(
+            ("scenario", "k", "seed", "metric", "trials", "estimate", "interval_low",
+             "interval_high", "expected", "relation", "pass", "claim"),
+            (
+                (self.scenario, k_text, self.seed, m.metric, m.trials,
+                 repr(float(m.estimate)), repr(float(m.interval_low)),
+                 repr(float(m.interval_high)), repr(float(m.expected)),
+                 m.relation, str(m.passed).lower(), m.claim)
+                for m in self.metrics
+            ),
+        )
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _rate_metric(name, successes, trials, expected, claim) -> MetricResult:
@@ -159,19 +137,18 @@ def _stat_metric(name, statistic, critical, trials, claim) -> MetricResult:
 
 
 def _resolve(spec: ScenarioSpec) -> ScenarioSpec:
-    if spec.scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {spec.scenario!r}")
-    dk, dt = _DEFAULTS[spec.scenario]
-    k = spec.k if spec.k is not None else dk
-    trials = spec.trials if spec.trials is not None else dt
-    if dk is None and spec.k is not None:
+    try:
+        _, default_k, default_trials, max_k = _SCENARIOS[spec.scenario]
+    except KeyError:
+        raise ValueError(f"unknown scenario {spec.scenario!r}") from None
+    if default_k is None and spec.k is not None:
         raise ValueError(f"scenario {spec.scenario!r} takes no k")
+    k = default_k if spec.k is None else spec.k
+    trials = default_trials if spec.trials is None else spec.trials
     if k is not None:
         scheme.SchemeParams.for_k(k)
-        if spec.scenario in _QUANTUM_SCENARIOS and k > _MAX_QUANTUM_K:
-            raise ValueError(f"scenario {spec.scenario!r} simulates states; needs k <= {_MAX_QUANTUM_K}")
-        if k > _MAX_EMULATED_K:
-            raise ValueError(f"k = {k} above the emulated-mode limit {_MAX_EMULATED_K}")
+        if k > max_k:
+            raise ValueError(f"scenario {spec.scenario!r} needs k <= {max_k}")
     if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
     if spec.strategy is not None and spec.scenario != "forgery":
@@ -182,22 +159,13 @@ def _resolve(spec: ScenarioSpec) -> ScenarioSpec:
 def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
     """Execute a scenario end to end; deterministic in the spec's seed."""
     spec = _resolve(spec)
-    runner = {
-        "honest-flow": _run_honest_flow,
-        "adversarial-history": _run_adversarial_history,
-        "forgery": _run_forgery_scenario,
-        "tracking-audit": _run_tracking_audit,
-        "otp-roundtrip": _run_otp,
-        "voting": _run_voting,
-        "inequality-suite": _run_inequality_scenario,
-    }[spec.scenario]
-    return runner(spec)
+    return ExperimentResult(spec.scenario, spec.k, spec.seed, _SCENARIOS[spec.scenario][0](spec))
 
 
 # -- honest flows ------------------------------------------------------------
 
 
-def _run_honest_flow(spec: ScenarioSpec) -> ExperimentResult:
+def _run_honest_flow(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     k, trials, seed = spec.k, spec.trials, spec.seed
     service = BankService()
     accepted = valid = 0
@@ -211,7 +179,7 @@ def _run_honest_flow(spec: ScenarioSpec) -> ExperimentResult:
         valid += secret.block(index) == value
         index_counts[index - 1] += 1
     stat, crit, _ = stats.uniformity_passes(index_counts)
-    metrics = (
+    return (
         _rate_metric("acceptance_rate", accepted, trials, 1.0,
                      "fresh valid reports are always accepted"),
         _rate_metric("report_validity", valid, trials, 1.0,
@@ -219,10 +187,9 @@ def _run_honest_flow(spec: ScenarioSpec) -> ExperimentResult:
         _stat_metric("index_uniformity_chi2", stat, crit, trials,
                      "honest report index is uniform over [2^k]"),
     )
-    return ExperimentResult(spec.scenario, k, trials, seed, metrics)
 
 
-def _run_adversarial_history(spec: ScenarioSpec) -> ExperimentResult:
+def _run_adversarial_history(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     """Honest rejection rates against adversarial histories.
 
     Foreign pairs (valid under an independent decoy secret) each collide with
@@ -253,7 +220,7 @@ def _run_adversarial_history(spec: ScenarioSpec) -> ExperimentResult:
 
     p_foreign = j_foreign / size**2
     p_same = j_same / size
-    metrics = (
+    return (
         _rate_metric("foreign_history_rejection", rejected_foreign, trials, p_foreign,
                      "j foreign pairs collide with an honest report w.p. j/2^(2k)"),
         _bound_metric("foreign_rejection_below_eps_l", rejected_foreign, trials,
@@ -263,32 +230,27 @@ def _run_adversarial_history(spec: ScenarioSpec) -> ExperimentResult:
         _bound_metric("same_series_below_eps_l", rejected_same, trials,
                       params.eps_l, "honest rejection stays below eps_l = 2^(-k/2)"),
     )
-    return ExperimentResult(spec.scenario, k, trials, seed, metrics)
 
 
 # -- forgery -------------------------------------------------------------------
 
 
-def _forger_strategy(name: str, params: scheme.SchemeParams) -> adversary.ForgerStrategy:
-    try:
-        policy, measured = FORGER_STRATEGIES[name]
-    except KeyError:
-        raise ValueError(f"unknown forger strategy {name!r}") from None
-    budget = 2 * measured if policy == "replay" else params.cap_test
-    return adversary.ForgerStrategy(name, measured, budget, policy)
-
-
-def _run_forgery_scenario(spec: ScenarioSpec) -> ExperimentResult:
+def _run_forgery_scenario(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     k, trials, seed = spec.k, spec.trials, spec.seed
     params = scheme.SchemeParams.for_k(k)
-    names = (spec.strategy,) if spec.strategy else _DEFAULT_FORGER_SET
-    ordinals = {name: i for i, name in enumerate(FORGER_STRATEGIES)}
     metrics: list[MetricResult] = []
-    for name in names:
-        strat = _forger_strategy(name, params)
+    for name in (spec.strategy,) if spec.strategy else _DEFAULT_FORGER_SET:
+        try:
+            policy, measured = FORGER_STRATEGIES[name]
+        except KeyError:
+            raise ValueError(f"unknown forger strategy {name!r}") from None
+        budget = 2 * measured if policy == "replay" else params.cap_test
+        strat = adversary.ForgerStrategy(name, measured, budget, policy)
+        # Each strategy draws from its own streams, keyed by its table position.
+        stream = list(FORGER_STRATEGIES).index(name)
         wins = 0
         for t in range(trials):
-            rng = stats.spawn_rng(seed, ordinals[name], t)
+            rng = stats.spawn_rng(seed, stream, t)
             secret = scheme.SecretString.random(k, rng)
             accepted, _ = adversary.run_forgery(secret, strat, rng)
             wins += accepted > strat.measured
@@ -308,7 +270,7 @@ def _run_forgery_scenario(spec: ScenarioSpec) -> ExperimentResult:
                 _rate_metric("replay_win_rate", wins, trials, 0.0,
                              "replayed pairs never add acceptances")
             )
-    return ExperimentResult(spec.scenario, k, trials, seed, tuple(metrics))
+    return tuple(metrics)
 
 
 # -- tracking audits ------------------------------------------------------------
@@ -324,65 +286,54 @@ def _with_pattern(
     return tensor(pattern, state), RegisterLayout(registers)
 
 
-def _run_tracking_audit(spec: ScenarioSpec) -> ExperimentResult:
+def _run_tracking_audit(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     k, trials, seed = spec.k, spec.trials, spec.seed
     size = 1 << k
     setup = stats.spawn_rng(seed, 0)
     secret = scheme.SecretString.random(k, setup)
+    # The (state, layout, spent register) triple of each minted cheat, loaded first.
+    names = ("loaded", "paired")
+    arms = (
+        (*adversary.mint_loaded(secret), "token"),
+        (*adversary.mint_permutation_paired(secret, setup.permutation(size)), "token1"),
+    )
+    joints = [(*_with_pattern(secret, state, layout), spent) for state, layout, spent in arms]
 
-    loaded, loaded_layout = adversary.mint_loaded(secret)
-    joint_loaded, layout_loaded = _with_pattern(secret, loaded, loaded_layout)
-
-    perm = setup.permutation(size)
-    paired, paired_layout = adversary.mint_permutation_paired(secret, perm)
-    joint_paired, layout_paired = _with_pattern(secret, paired, paired_layout)
-
-    detect_loaded = detect_paired = 0
+    detected = [0, 0]
     for t in range(trials):
         rng = stats.spawn_rng(seed, 1, t)
-        out = audit.report_prime(joint_loaded, layout_loaded, "pattern", "token", rng)
-        detect_loaded += out.cheat_detected
-        out = audit.report_prime(joint_paired, layout_paired, "pattern", "token1", rng)
-        detect_paired += out.cheat_detected
+        for i, (joint, joint_layout, spent) in enumerate(joints):
+            out = audit.report_prime(joint, joint_layout, "pattern", spent, rng)
+            detected[i] += out.cheat_detected
 
-    loaded_counts = np.zeros(size, dtype=np.int64)
-    paired_counts = np.zeros(size, dtype=np.int64)
-    loaded_valid = paired_valid = 0
+    counts, valid = [[0] * size, [0] * size], [0, 0]
     for t in range(trials):
         rng = stats.spawn_rng(seed, 2, t)
-        wire, _ = measure_register(loaded, loaded_layout, "token", rng)
-        index, value = scheme.unwire(k, wire)
-        loaded_counts[index - 1] += 1
-        loaded_valid += secret.block(index) == value
-        wire, _ = measure_register(paired, paired_layout, "token1", rng)
-        index, value = scheme.unwire(k, wire)
-        paired_counts[index - 1] += 1
-        paired_valid += secret.block(index) == value
+        for i, (state, layout, spent) in enumerate(arms):
+            wire, _ = measure_register(state, layout, spent, rng)
+            index, value = scheme.unwire(k, wire)
+            counts[i][index - 1] += 1
+            valid[i] += secret.block(index) == value
 
     p_detect = (1.0 - 2.0**-k) / 2.0
-    stat_l, crit, _ = stats.uniformity_passes(loaded_counts)
-    stat_p, _, _ = stats.uniformity_passes(paired_counts)
-    metrics = (
-        _rate_metric("loaded_detection_rate", detect_loaded, trials, p_detect,
-                     "audit fires on a loaded token w.p. (1-2^-k)/2"),
-        _rate_metric("paired_detection_rate", detect_paired, trials, p_detect,
-                     "audit fires on a paired token w.p. (1-2^-k)/2"),
-        _stat_metric("loaded_message_uniformity", stat_l, crit, trials,
-                     "a loaded token's messages look honest (chi-squared, 0.001)"),
-        _stat_metric("paired_message_uniformity", stat_p, crit, trials,
-                     "a paired token's messages look honest (chi-squared, 0.001)"),
-        _rate_metric("loaded_message_validity", loaded_valid, trials, 1.0,
-                     "a loaded token's reports always satisfy R = block_I(S)"),
-        _rate_metric("paired_message_validity", paired_valid, trials, 1.0,
-                     "a paired token's reports always satisfy R = block_I(S)"),
+    chi2 = [stats.uniformity_passes(row)[:2] for row in counts]
+    return (
+        *(_rate_metric(f"{name}_detection_rate", hits, trials, p_detect,
+                       f"audit fires on a {name} token w.p. (1-2^-k)/2")
+          for name, hits in zip(names, detected)),
+        *(_stat_metric(f"{name}_message_uniformity", stat, crit, trials,
+                       f"a {name} token's messages look honest (chi-squared, 0.001)")
+          for name, (stat, crit) in zip(names, chi2)),
+        *(_rate_metric(f"{name}_message_validity", hits, trials, 1.0,
+                       f"a {name} token's reports always satisfy R = block_I(S)")
+          for name, hits in zip(names, valid)),
     )
-    return ExperimentResult(spec.scenario, k, trials, seed, metrics)
 
 
 # -- one-time pads and voting ------------------------------------------------------
 
 
-def _run_otp(spec: ScenarioSpec) -> ExperimentResult:
+def _run_otp(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     k, trials, seed = spec.k, spec.trials, spec.seed
     size = 1 << k
     if trials > size:
@@ -403,16 +354,15 @@ def _run_otp(spec: ScenarioSpec) -> ExperimentResult:
         roundtrips += decision.status == "OK" and decision.payload == message
         again = service.handle("DECODE", sid, index, cipher)
         reuse_rejected += again.status == "REJECT"
-    metrics = (
+    return (
         _rate_metric("roundtrip_identity", roundtrips, trials, 1.0,
                      "decode(encode(M)) = M for every fresh pad"),
         _rate_metric("pad_reuse_rejected", reuse_rejected, trials, 1.0,
                      "a consumed pad never authorizes again"),
     )
-    return ExperimentResult(spec.scenario, k, trials, seed, metrics)
 
 
-def _run_voting(spec: ScenarioSpec) -> ExperimentResult:
+def _run_voting(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     k, voters, seed = spec.k, spec.trials, spec.seed
     size = 1 << k
     if voters > size:
@@ -440,7 +390,7 @@ def _run_voting(spec: ScenarioSpec) -> ExperimentResult:
             double_rejected += again.status == "REJECT"
     tally = service.snapshot(sid)["tally"]
     expected_tally = {c: cast.count(c) for c in set(cast)}
-    metrics = (
+    return (
         _rate_metric("votes_accepted", accepted, voters, 1.0,
                      "every fresh token casts exactly one vote"),
         _rate_metric("tally_matches_cast", int(tally == expected_tally), 1, 1.0,
@@ -448,7 +398,6 @@ def _run_voting(spec: ScenarioSpec) -> ExperimentResult:
         _rate_metric("double_votes_rejected", double_rejected, double_votes, 1.0,
                      "double votes with a reused pad are rejected"),
     )
-    return ExperimentResult(spec.scenario, k, voters, seed, metrics)
 
 
 # -- inequality suites ---------------------------------------------------------------
@@ -534,13 +483,6 @@ def swap_mixed_checks(rng, instances: int) -> tuple[float, float]:
     return worst, worst_consistency
 
 
-def _loaded_toy_instance(rng) -> tuple[SparseState, RegisterLayout]:
-    """Tiny loaded-style joint state: an honest 2-qubit pattern, then a
-    2-qubit token fully correlated with a 1-qubit bank register."""
-    secret = scheme.SecretString.random(1, rng)
-    return _with_pattern(secret, *adversary.mint_loaded(secret))
-
-
 def report_indist_checks(rng, instances: int) -> float:
     """Max violation of advantage <= 1/2 + sqrt(p_bot) across random and
     loaded-style instances (token-slot distinguishers with bank side info)."""
@@ -548,7 +490,10 @@ def report_indist_checks(rng, instances: int) -> float:
     structured = max(1, instances // 10)
     for i in range(instances):
         if i < structured:
-            chi, layout = _loaded_toy_instance(rng)
+            # An honest 2-qubit pattern, then a 2-qubit loaded token fully
+            # correlated with a 1-qubit bank register.
+            secret = scheme.SecretString.random(1, rng)
+            chi, layout = _with_pattern(secret, *adversary.mint_loaded(secret))
             gap = audit.anonymity_gap(chi, layout, "bank", "pattern", "token")
         else:
             chi = random_state(6, rng)
@@ -623,24 +568,47 @@ def run_inequality_suite(seed: int = 0, sizes: SuiteSizes | None = None) -> Expe
                       "Pr[chain audit aborts] >= Pr[single audit aborts]"),
         sampled_metric,
     )
-    return ExperimentResult("inequality-suite", None, None, seed, metrics)
+    return ExperimentResult("inequality-suite", None, seed, metrics)
 
 
-def _run_inequality_scenario(spec: ScenarioSpec) -> ExperimentResult:
+def _run_inequality_scenario(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     sizes = SuiteSizes()
     if spec.trials is not None:
         sizes = SuiteSizes(
             pattern_chain_exact=spec.trials, pattern_chain_sampled=spec.trials
         )
-    return run_inequality_suite(spec.seed, sizes)
+    return run_inequality_suite(spec.seed, sizes).metrics
+
+
+# -- the scenario table ----------------------------------------------------------------
+
+# name: (runner, default k, default trials, largest k); the order is the CLI's.
+# Quantum scenarios simulate states, so they stop at a smaller k than the
+# emulated ones; inequality-suite takes no k.
+_SCENARIOS = {
+    "honest-flow": (_run_honest_flow, 4, 100_000, _MAX_QUANTUM_K),
+    "adversarial-history": (_run_adversarial_history, 4, 100_000, _MAX_QUANTUM_K),
+    "forgery": (_run_forgery_scenario, 16, 100_000, _MAX_EMULATED_K),
+    "tracking-audit": (_run_tracking_audit, 4, 100_000, _MAX_QUANTUM_K),
+    "otp-roundtrip": (_run_otp, 16, 1000, _MAX_EMULATED_K),
+    "voting": (_run_voting, 16, 500, _MAX_EMULATED_K),
+    "inequality-suite": (_run_inequality_scenario, None, None, None),
+}
+SCENARIOS = tuple(_SCENARIOS)
 
 
 # -- parameter/bound tables -----------------------------------------------------------
 
 
 def bounds_rows(k: int) -> list[tuple[str, str, str, str]]:
-    """(quantity, q, r, value) rows for the parameter and bound table at k."""
+    """(quantity, q, r, value) rows for the parameter and bound table at k.
+
+    The exact all-correct term has k * 2^(k/2) bits, so k stops where the
+    emulated scenarios do.
+    """
     params = scheme.SchemeParams.for_k(k)
+    if k > _MAX_EMULATED_K:
+        raise ValueError(f"bounds needs k <= {_MAX_EMULATED_K}")
     rows = [
         ("n_qubits_per_token", "", "", str(params.n)),
         ("secret_bits", "", "", str(params.m)),
@@ -662,9 +630,4 @@ def bounds_rows(k: int) -> list[tuple[str, str, str, str]]:
 
 
 def bounds_csv(k: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", "q", "r", "value"])
-    for row in bounds_rows(k):
-        writer.writerow(row)
-    return buf.getvalue()
+    return _csv(("quantity", "q", "r", "value"), bounds_rows(k))

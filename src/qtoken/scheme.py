@@ -25,6 +25,7 @@ large-k Monte Carlo runs affordable.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,14 +82,16 @@ class SecretString:
     def __init__(self, k: int, blocks: Sequence[int] | np.ndarray, series_id: str = "s0"):
         if k < 1:
             raise ValueError("k must be positive")
-        arr = np.asarray(blocks, dtype=np.uint64)
+        arr = np.asarray(blocks)
         if arr.shape != (1 << k,):
             raise ValueError(f"a secret for k={k} must be a 1-d table of 2^{k} blocks")
-        if int(arr.max()) >= 1 << k:
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"a secret's blocks must be integers, not {arr.dtype}")
+        if int(arr.min()) < 0 or int(arr.max()) >= 1 << k:
             raise ValueError(f"block value out of range for k={k}")
         self.k = k
         self.series_id = series_id
-        self._blocks = arr
+        self._blocks = arr.astype(np.uint64, copy=False)
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator, series_id: str = "s0") -> SecretString:
@@ -134,8 +137,10 @@ class SecretString:
         bit_length = len(hex_string) * 4
         if k < 1 or bit_length != k << k:
             raise ValueError(f"hex length does not hold 2^k blocks of k={k} bits")
-        # int() also takes a sign or a 0x prefix; keep exactly bit_length low bits.
-        value = int(hex_string, 16) & ((1 << bit_length) - 1)
+        # int() would also take a sign, a 0x prefix, "_", spaces or non-ASCII digits.
+        if re.fullmatch("[0-9a-fA-F]*", hex_string) is None:
+            raise ValueError("a secret's hex holds only the digits 0-9, a-f and A-F")
+        value = int(hex_string, 16)
         bits = format(value, f"0{bit_length}b")
         return cls(k, [int(bits[i:i + k], 2) for i in range(0, bit_length, k)], series_id)
 

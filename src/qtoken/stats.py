@@ -61,30 +61,18 @@ def matches_rate(successes: int, trials: int, expected: float) -> bool:
     return abs(p_hat - expected) <= SIGMAS * binomial_sigma(expected, trials)
 
 
-def chi_squared_statistic(counts, expected) -> float:
-    obs = np.asarray(counts, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    if obs.shape != exp.shape:
-        raise ValueError("counts and expected must have the same shape")
-    if np.any(exp <= 0):
-        raise ValueError("expected counts must be positive")
-    return float(np.sum((obs - exp) ** 2 / exp))
-
-
-def chi_squared_uniform(counts) -> tuple[float, int]:
-    """Chi-squared statistic of observed counts against the uniform law."""
-    obs = np.asarray(counts, dtype=float)
-    total = obs.sum()
-    expected = np.full_like(obs, total / obs.size)
-    return chi_squared_statistic(obs, expected), obs.size - 1
-
-
 def chi2_critical(dof: int, significance: float = 0.001) -> float:
     return float(_scipy_stats.chi2.ppf(1.0 - significance, dof))
 
 
 def uniformity_passes(counts, significance: float = 0.001) -> tuple[float, float, bool]:
-    """(statistic, critical value, fail-to-reject?) for a uniformity test."""
-    stat, dof = chi_squared_uniform(counts)
-    crit = chi2_critical(dof, significance)
+    """(statistic, critical value, fail-to-reject?) for a chi-squared test of
+    observed counts against the uniform law."""
+    obs = np.asarray(counts, dtype=float)
+    total = obs.sum()
+    if total <= 0:
+        raise ValueError("expected counts must be positive")
+    exp = np.full_like(obs, total / obs.size)
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    crit = chi2_critical(obs.size - 1, significance)
     return stat, crit, stat <= crit

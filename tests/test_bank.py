@@ -477,6 +477,16 @@ def test_recovery_refuses_a_secret_that_is_not_2k_blocks(tmp_path):
     assert (err.value.line_number, err.value.byte_offset) == (1, 0)
 
 
+@pytest.mark.parametrize("text", ["-123456789abcdef", "012_456789abcdef"])
+def test_recovery_refuses_a_secret_hex_with_non_hex_digits(tmp_path, text):
+    """The sign or separator would register a secret other than the one logged."""
+    log = tmp_path / "sign.log"
+    log.write_text(f"SERIES s 4 {text} OK\n")
+    with pytest.raises(bank.CorruptLogError) as err:
+        bank.BankService.recover(str(log))
+    assert (err.value.line_number, err.value.byte_offset) == (1, 0)
+
+
 def test_failed_log_writes_in_a_row_leave_the_log_as_it_was(tmp_path):
     """Each failed write cuts its half record back off, including when the
     previous write failed too."""

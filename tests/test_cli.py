@@ -13,6 +13,15 @@ def test_bounds_command(capsys):
     assert "eps_f_constant5" in out and "eps_f_constant6" in out
 
 
+def test_bounds_refuses_k_above_20(capsys):
+    """The exact all-correct term has k * 2^(k/2) bits; past the package's
+    largest k it grows out of reach."""
+    assert cli.main(["bounds", "--k", "24"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["bounds needs k <= 20"]
+
+
 def test_run_command_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "result.csv"
     code = cli.main([

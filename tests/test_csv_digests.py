@@ -1,4 +1,5 @@
-"""Every scenario's CSV at small sizes, seed 3, pinned by its sha256.
+"""Every scenario's CSV at small sizes, seed 3, and the bound table at three
+k, pinned by their sha256.
 
 A change to the engine, the scheme or the harness that is meant to keep the
 outputs must keep these bytes. The digests were taken before the partial
@@ -34,3 +35,15 @@ def test_scenario_csv_keeps_its_digest(scenario, k, trials, strategy, digest):
     spec = harness.ScenarioSpec(scenario, k=k, trials=trials, seed=3, strategy=strategy)
     csv_text = harness.run_scenario(spec).to_csv()
     assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
+
+
+BOUNDS_DIGESTS = [
+    (4, "c7f44d98dcdf07198e15d40f2095454e66e31d0c722b97c455e59cb2dcb25b07"),
+    (8, "456c6346fd4d409b7275b6a45501d772671c379d4713ba0449440d5b0e44204a"),
+    (16, "359a56fecce17c4b3690c2647386923bf944fd71f96cae601067be5dc5c9f45f"),
+]
+
+
+@pytest.mark.parametrize("k,digest", BOUNDS_DIGESTS)
+def test_bounds_csv_keeps_its_digest(k, digest):
+    assert hashlib.sha256(harness.bounds_csv(k).encode()).hexdigest() == digest

@@ -82,17 +82,31 @@ def test_inequality_suite_small():
             assert m.passed, m
 
 
-def test_incompatible_scenario_parameters():
-    with pytest.raises(ValueError):
-        run("tracking-audit", k=16, trials=10)
-    with pytest.raises(ValueError):
-        run("forgery", k=24, trials=10)
-    with pytest.raises(ValueError):
+LARGEST_K = {
+    "honest-flow": 8, "adversarial-history": 8, "tracking-audit": 8,
+    "forgery": 20, "otp-roundtrip": 20, "voting": 20,
+}
+
+
+@pytest.mark.parametrize("scenario", harness.SCENARIOS)
+def test_incompatible_scenario_parameters(scenario):
+    """Each scenario refuses a k past its own limit, and a strategy unless it
+    is forgery, before running a trial; inequality-suite refuses any k."""
+    if scenario == "inequality-suite":
+        with pytest.raises(ValueError, match="takes no k"):
+            run(scenario, k=4, trials=20)
+    else:
+        limit = LARGEST_K[scenario]
+        with pytest.raises(ValueError, match=f"needs k <= {limit}"):
+            run(scenario, k=limit + 4, trials=10)
+    if scenario != "forgery":
+        with pytest.raises(ValueError, match="takes no strategy"):
+            run(scenario, trials=10, strategy="replay")
+
+
+def test_unknown_scenario_refused():
+    with pytest.raises(ValueError, match="unknown scenario"):
         run("nonesuch")
-    with pytest.raises(ValueError, match="takes no strategy"):
-        run("honest-flow", trials=10, strategy="replay")
-    with pytest.raises(ValueError, match="takes no k"):
-        run("inequality-suite", k=4, trials=20)
 
 
 def test_csv_is_byte_identical_for_identical_specs():

@@ -71,6 +71,32 @@ def test_secret_hex_length_and_width_checks():
     assert scheme.SecretString.from_hex(2, "0f").bits() == "00001111"
 
 
+@pytest.mark.parametrize(
+    "text", ["-123456789abcdef", "012_456789abcdef", "0x23456789abcdef", " 123456789abcde ",
+             "0123456789abcdeg", "0123456789abcd\u0663f"],
+    ids=["sign", "underscore", "0x", "spaces", "g", "arabic-digit"],
+)
+def test_secret_hex_refuses_non_hex_digits(text):
+    """int(text, 16) takes each of these; read as a secret, it would be
+    another table than the digits spell."""
+    assert len(text) == 16
+    with pytest.raises(ValueError, match="only the digits"):
+        scheme.SecretString.from_hex(4, text)
+
+
+def test_secret_hex_takes_both_cases():
+    assert scheme.SecretString.from_hex(4, "0123456789ABCDEF")._blocks.tolist() == list(range(16))
+
+
+@pytest.mark.parametrize(
+    "blocks", [[0.7] * 16, [-1] + [0] * 15, [True] * 16, ["1"] * 16],
+    ids=["float", "negative", "bool", "str"],
+)
+def test_secret_refuses_a_table_of_non_block_values(blocks):
+    with pytest.raises(ValueError):
+        scheme.SecretString(4, blocks)
+
+
 @pytest.mark.parametrize("k", range(1, 21))
 def test_secret_draw_is_the_integers_table(k):
     """The raw-word draw gives the table and the generator state that
