@@ -32,7 +32,6 @@ from .scheme import (
 )
 from .audit import AuditOutcome, anonymity_gap, report_chain, report_prime
 from .adversary import (
-    ForgerStrategy,
     eval_all_correct_bound,
     eval_forgery_bound,
     mint_loaded,

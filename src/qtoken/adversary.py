@@ -3,10 +3,10 @@
 Forgers attack unforgeability: they measure some number of honest tokens and
 then try to get more reports accepted than tokens measured, within the
 series' verification budget. The theoretical ceiling for *any* such attack
-is min(1, c * N * (q+1) / |Y|) for a forger who measured q tokens and
-submits at most N distinct pairs over a value space Y; both the constant-5
-and the constant-6 form of that ceiling are exposed here, and the concrete
-strategies below are Monte Carlo checks that stay under it.
+is min(1, 5 * N * (q+1) / |Y|) for a forger who measured q tokens and
+submits at most N distinct pairs over a value space Y, and the concrete
+forgers below, one row each of ``FORGERS``, are Monte Carlo checks that stay
+under it.
 
 Tracking banks attack anonymity: instead of the honest identical tokens they
 mint states that stay correlated with something the bank keeps (an entangled
@@ -18,7 +18,6 @@ catch the bank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -26,51 +25,41 @@ from typing import Sequence
 import numpy as np
 
 from .core import RegisterLayout, SparseState, uniform_state
-from .scheme import SecretString, btest, report_emulated, token_wires
+from .scheme import SchemeParams, SecretString, btest, report_emulated, token_wires
 
-FORGER_POLICIES = ("uniform-fresh-index", "replay", "block-collision")
-
-
-@dataclass(frozen=True)
-class ForgerStrategy:
-    """A concrete forgery attempt: measure q tokens, then fill a guess budget."""
-
-    name: str
-    measured: int
-    guess_budget: int
-    policy: str = "uniform-fresh-index"
-
-    def __post_init__(self):
-        if self.policy not in FORGER_POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.measured < 0 or self.guess_budget < self.measured:
-            raise ValueError("need 0 <= measured <= guess_budget")
-        if self.policy in ("replay", "block-collision") and self.measured < 1:
-            raise ValueError(f"{self.policy} needs at least one measured token")
+# name: (policy, measured tokens q). A row's position keys its RNG streams in
+# the forgery scenario, so new forgers go at the end.
+FORGERS = {
+    "uniform-guess": ("uniform-fresh-index", 0),
+    "measure-and-guess-1": ("uniform-fresh-index", 1),
+    "measure-and-guess-2": ("uniform-fresh-index", 2),
+    "replay": ("replay", 1),
+    "block-collision": ("block-collision", 1),
+}
 
 
-def run_forgery(
-    secret: SecretString, strategy: ForgerStrategy, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Play one forgery round; returns (accepted, submitted).
+def run_forgery(secret: SecretString, name: str, rng: np.random.Generator) -> tuple[int, int]:
+    """Play one round of the forger ``name`` in ``FORGERS``; returns (accepted, submitted).
 
-    The forger measures ``strategy.measured`` honest tokens (via the emulated
-    honest sampler), appends guesses per the policy up to the guess budget,
-    and runs the whole batch through the bank's sequential verification. The
-    round is a win when more reports are accepted than tokens were measured.
+    The forger measures its q honest tokens (via the emulated honest
+    sampler). A replay forger then resubmits those q pairs; every other
+    forger fills the series' attempt budget cap_test with guesses per its
+    policy. The whole batch runs through the bank's sequential verification,
+    and the round is a win when more reports are accepted than tokens were
+    measured.
     """
-    q = strategy.measured
+    policy, q = FORGERS[name]
     indices, values = report_emulated(secret, rng, q)
-    extra = strategy.guess_budget - q
-    if strategy.policy == "replay":
-        indices = np.concatenate([indices, indices[:extra]])
-        values = np.concatenate([values, values[:extra]])
-    elif extra > 0:
+    if policy == "replay":
+        indices = np.concatenate([indices, indices])
+        values = np.concatenate([values, values])
+    else:
+        extra = SchemeParams.for_k(secret.k).cap_test - q
         # Distinct uniform indices minus the (at most q) measured ones are
         # uniform over the unmeasured indices, and at least ``extra`` remain.
         fresh = rng.choice(1 << secret.k, extra + q, replace=False) + 1
         fresh = fresh[~np.isin(fresh, indices)][:extra]
-        if strategy.policy == "uniform-fresh-index":
+        if policy == "uniform-fresh-index":
             guesses = rng.integers(0, 1 << secret.k, size=extra, dtype=np.uint64)
         else:  # block-collision: bet that another block repeats a seen value
             guesses = values[np.arange(extra) % q]
@@ -80,16 +69,16 @@ def run_forgery(
     return accepted, len(indices)
 
 
-def eval_forgery_bound(n_reports: int, q: int, y_size: int, constant: int = 5) -> float:
-    """Ceiling on Pr[more than q correct pairs among n_reports distinct guesses].
+def eval_forgery_bound(n_reports: int, q: int, y_size: int) -> float:
+    """Ceiling min(1, 5 * N * (q+1) / |Y|) on Pr[more than q correct pairs
+    among N = n_reports distinct guesses].
 
-    The default constant 5 is the generic query-limit form; ``constant=6``
-    gives the variant used for the scheme's eps_f. Clamped to 1 outside the
-    regime where the bound is meaningful.
+    With the constant 6 in place of 5 and the scheme's N, q and |Y| the same
+    form gives eps_f; ``bounds_rows`` prints both constants.
     """
     if n_reports < 0 or q < 0 or y_size < 1:
         raise ValueError("need n_reports, q >= 0 and y_size >= 1")
-    return min(1.0, constant * n_reports * (q + 1) / y_size)
+    return min(1.0, 5 * n_reports * (q + 1) / y_size)
 
 
 def eval_all_correct_bound(q: int, r: int, y_size: int) -> float:

@@ -15,7 +15,7 @@ to the sampling ones: the inequality suites need 1e-9 precision.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class AnonymityGap(NamedTuple):
 def anonymity_gap(
     chi: SparseState,
     layout: RegisterLayout,
-    bank: str | None,
+    bank: str,
     token_a: str,
     token_b: str,
 ) -> AnonymityGap:
@@ -150,10 +150,8 @@ def anonymity_gap(
     """
     if layout.width(token_a) != layout.width(token_b):
         raise ValueError("token registers must have equal widths")
-    keep_a: Sequence[str] = [token_a] if bank is None else [bank, token_a]
-    keep_b: Sequence[str] = [token_b] if bank is None else [bank, token_b]
-    sigma_a = reduced_density(chi, layout, keep_a)
-    sigma_b = reduced_density(chi, layout, keep_b)
+    sigma_a = reduced_density(chi, layout, [bank, token_a])
+    sigma_b = reduced_density(chi, layout, [bank, token_b])
     advantage = trace_distance_advantage(sigma_a, sigma_b)
     p_detect = swap_probability(chi, layout, token_a, token_b)
     return AnonymityGap(advantage, 0.5 + float(np.sqrt(p_detect)))

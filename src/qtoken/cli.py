@@ -49,8 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse(exc: ValueError) -> int:
-    """Report bad arguments on one stderr line, without a traceback: exit 2."""
+def _refuse(exc: ValueError | OSError | str) -> int:
+    """Report bad arguments or an unusable path on one stderr line, without a
+    traceback: exit 2."""
     print(exc, file=sys.stderr)
     return 2
 
@@ -76,7 +77,10 @@ def _cmd_run(args) -> int:
         result = harness.run_scenario(spec)
     except ValueError as exc:
         return _refuse(exc)
-    _write(result.to_csv(), args.out)
+    try:
+        _write(result.to_csv(), args.out)
+    except OSError as exc:
+        return _refuse(exc)
     if args.out is not None:
         print(f"wrote {len(result.metrics)} metrics to {args.out}")
     for m in result.metrics:
@@ -89,18 +93,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        text = harness.bounds_csv(args.k)
-    except ValueError as exc:
+        _write(harness.bounds_csv(args.k), args.out)
+    except (ValueError, OSError) as exc:
         return _refuse(exc)
-    _write(text, args.out)
     return 0
 
 
 def _recover(log: str, sync: bool = True) -> BankService | None:
-    """Replay ``log`` into a service; on a corrupt log, print why and return None."""
+    """Replay ``log`` into a service; on a corrupt or unusable log, print why
+    and return None."""
     try:
         return BankService.recover(log, sync=sync)
-    except CorruptLogError as exc:
+    except (CorruptLogError, OSError) as exc:
         print(f"cannot recover {log}: {exc}", file=sys.stderr)
         return None
 
@@ -111,9 +115,9 @@ def _cmd_serve(args) -> int:
         return 2
     try:
         server = BankServer(service, args.socket)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         service.close()
-        return _refuse(exc)
+        return _refuse(f"cannot listen on {args.socket}: {exc}")
     known = service.series_ids()
     print(f"recovered {len(known)} series from {args.log}", file=sys.stderr)
     print(f"listening on {server.address}", file=sys.stderr)
@@ -155,7 +159,7 @@ def _cmd_mint(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Exit 0 when every metric passes, 1 when one fails, and 2 for bad
-    arguments or a log that cannot be recovered."""
+    arguments, a path that cannot be used or a log that cannot be recovered."""
     args = _build_parser().parse_args(argv)
     handler = {
         "run": _cmd_run,

@@ -42,13 +42,6 @@ _MAX_EMULATED_K = 20
 
 VIOLATION_TOL = 1e-9
 
-FORGER_STRATEGIES = {
-    "uniform-guess": ("uniform-fresh-index", 0),
-    "measure-and-guess-1": ("uniform-fresh-index", 1),
-    "measure-and-guess-2": ("uniform-fresh-index", 2),
-    "replay": ("replay", 1),
-    "block-collision": ("block-collision", 1),
-}
 _DEFAULT_FORGER_SET = ("uniform-guess", "measure-and-guess-1", "measure-and-guess-2", "replay")
 
 
@@ -122,10 +115,10 @@ def _bound_metric(name, successes, trials, bound, claim, sigmas=0.0) -> MetricRe
     return MetricResult(name, trials, est, lo, hi, bound, "le", est <= bound + slack, claim)
 
 
-def _exact_metric(name, value, instances, claim, tolerance=VIOLATION_TOL) -> MetricResult:
+def _exact_metric(name, value, instances, claim) -> MetricResult:
     return MetricResult(
-        name, instances, value, value, value, tolerance, "le-exact",
-        value <= tolerance, claim,
+        name, instances, value, value, value, VIOLATION_TOL, "le-exact",
+        value <= VIOLATION_TOL, claim,
     )
 
 
@@ -153,6 +146,8 @@ def _resolve(spec: ScenarioSpec) -> ScenarioSpec:
         raise ValueError("trials must be >= 1")
     if spec.strategy is not None and spec.scenario != "forgery":
         raise ValueError(f"scenario {spec.scenario!r} takes no strategy; only forgery does")
+    if spec.strategy is not None and spec.strategy not in adversary.FORGERS:
+        raise ValueError(f"unknown forger strategy {spec.strategy!r}")
     return replace(spec, k=k, trials=trials)
 
 
@@ -240,21 +235,16 @@ def _run_forgery_scenario(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     params = scheme.SchemeParams.for_k(k)
     metrics: list[MetricResult] = []
     for name in (spec.strategy,) if spec.strategy else _DEFAULT_FORGER_SET:
-        try:
-            policy, measured = FORGER_STRATEGIES[name]
-        except KeyError:
-            raise ValueError(f"unknown forger strategy {name!r}") from None
-        budget = 2 * measured if policy == "replay" else params.cap_test
-        strat = adversary.ForgerStrategy(name, measured, budget, policy)
-        # Each strategy draws from its own streams, keyed by its table position.
-        stream = list(FORGER_STRATEGIES).index(name)
+        _, measured = adversary.FORGERS[name]
+        # Each forger draws from its own streams, keyed by its table position.
+        stream = list(adversary.FORGERS).index(name)
         wins = 0
         for t in range(trials):
             rng = stats.spawn_rng(seed, stream, t)
             secret = scheme.SecretString.random(k, rng)
-            accepted, _ = adversary.run_forgery(secret, strat, rng)
-            wins += accepted > strat.measured
-        bound = adversary.eval_forgery_bound(params.cap_test, strat.measured, 1 << k)
+            accepted, _ = adversary.run_forgery(secret, name, rng)
+            wins += accepted > measured
+        bound = adversary.eval_forgery_bound(params.cap_test, measured, 1 << k)
         metrics.append(
             _bound_metric(f"win_rate[{name}]", wins, trials, bound,
                           "win rate <= min(1, 5*N*(q+1)/|Y|)", sigmas=3.0)
@@ -345,7 +335,7 @@ def _run_otp(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     indices = setup.permutation(size)[:trials]
     roundtrips = reuse_rejected = 0
     for t in range(trials):
-        rng = stats.trial_rng(seed, t)
+        rng = stats.spawn_rng(seed, 1, t)
         index = int(indices[t]) + 1
         message = int(rng.integers(0, size))
         pad = secret.block(index)  # the holder knows R from measuring the token
@@ -377,7 +367,7 @@ def _run_voting(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     double_rejected = 0
     double_votes = 0
     for t in range(voters):
-        rng = stats.trial_rng(seed, t)
+        rng = stats.spawn_rng(seed, 1, t)
         index = int(indices[t]) + 1
         choice = int(rng.integers(0, 2))
         pad = secret.block(index)
@@ -422,11 +412,12 @@ def _random_projector(rng, dim: int, sub_dim: int, complex_case: bool) -> np.nda
     return q @ q.conj().T
 
 
-def projection_checks(rng, instances: int, max_dim: int = 16) -> tuple[float, float]:
-    """Max violations of the two projection inequalities over random instances."""
+def projection_checks(rng, instances: int) -> tuple[float, float]:
+    """Max violations of the two projection inequalities over random instances
+    in dimensions 2 to 16."""
     worst_chain = worst_diff = 0.0
     for _ in range(instances):
-        dim = int(rng.integers(2, max_dim + 1))
+        dim = int(rng.integers(2, 17))
         complex_case = bool(rng.integers(0, 2))
         v = rng.normal(size=dim)
         if complex_case:

@@ -54,6 +54,7 @@ class SchemeParams:
     eps_f: float
 
     @classmethod
+    @lru_cache(maxsize=None)
     def for_k(cls, k: int) -> SchemeParams:
         if k < 4 or k % 4 != 0:
             raise ValueError("security parameter k must be a positive multiple of 4")
@@ -123,26 +124,28 @@ class SecretString:
             raise ValueError(f"block index {index} out of range")
         return int(self._blocks[index - 1])
 
-    def bits(self) -> str:
-        return "".join(format(int(b), f"0{self.k}b") for b in self._blocks)
-
     def to_hex(self) -> str:
-        bit_length = self.k << self.k
-        if bit_length % 4 != 0:
+        k = self.k
+        if (k << k) % 4 != 0:
             raise ValueError("secret bit length is not a multiple of 4")
-        return format(int(self.bits(), 2), f"0{bit_length // 4}x")
+        # Past k = 1 the bit length is whole bytes. Each block's big-endian
+        # bytes, cut to its low k bits, are packed back to back.
+        raw = self._blocks.astype(">u4").view(np.uint8).reshape(-1, 4)
+        bits = np.unpackbits(raw[:, (32 - k) // 8:], axis=1)[:, (32 - k) % 8:]
+        return np.packbits(bits).tobytes().hex()
 
     @classmethod
     def from_hex(cls, k: int, hex_string: str, series_id: str = "s0") -> SecretString:
-        bit_length = len(hex_string) * 4
-        if k < 1 or bit_length != k << k:
+        if k < 1 or len(hex_string) * 4 != k << k:
             raise ValueError(f"hex length does not hold 2^k blocks of k={k} bits")
-        # int() would also take a sign, a 0x prefix, "_", spaces or non-ASCII digits.
+        # bytes.fromhex would also skip whitespace between digit pairs.
         if re.fullmatch("[0-9a-fA-F]*", hex_string) is None:
             raise ValueError("a secret's hex holds only the digits 0-9, a-f and A-F")
-        value = int(hex_string, 16)
-        bits = format(value, f"0{bit_length}b")
-        return cls(k, [int(bits[i:i + k], 2) for i in range(0, bit_length, k)], series_id)
+        bits = np.unpackbits(np.frombuffer(bytes.fromhex(hex_string), np.uint8))
+        # Each block's k bits go at the low end of a 32-bit big-endian word.
+        words = np.zeros((1 << k, 32), dtype=np.uint8)
+        words[:, 32 - k:] = bits.reshape(-1, k)
+        return cls(k, np.packbits(words).view(">u4").astype(np.uint64), series_id)
 
 
 def wire(k: int, index: int, value: int) -> int:

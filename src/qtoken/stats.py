@@ -15,6 +15,7 @@ from scipy import stats as _scipy_stats
 
 NORMAL_INTERVAL_MIN_TRIALS = 10_000
 SIGMAS = 3.0
+SIGNIFICANCE = 0.001
 
 
 def spawn_rng(*key: int) -> np.random.Generator:
@@ -31,7 +32,8 @@ def binomial_sigma(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
-def wilson_interval(successes: int, trials: int, z: float = SIGMAS) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = SIGMAS
     if trials < 1:
         raise ValueError("need at least one trial")
     p_hat = successes / trials
@@ -61,11 +63,11 @@ def matches_rate(successes: int, trials: int, expected: float) -> bool:
     return abs(p_hat - expected) <= SIGMAS * binomial_sigma(expected, trials)
 
 
-def chi2_critical(dof: int, significance: float = 0.001) -> float:
-    return float(_scipy_stats.chi2.ppf(1.0 - significance, dof))
+def chi2_critical(dof: int) -> float:
+    return float(_scipy_stats.chi2.ppf(1.0 - SIGNIFICANCE, dof))
 
 
-def uniformity_passes(counts, significance: float = 0.001) -> tuple[float, float, bool]:
+def uniformity_passes(counts) -> tuple[float, float, bool]:
     """(statistic, critical value, fail-to-reject?) for a chi-squared test of
     observed counts against the uniform law."""
     obs = np.asarray(counts, dtype=float)
@@ -74,5 +76,5 @@ def uniformity_passes(counts, significance: float = 0.001) -> tuple[float, float
         raise ValueError("expected counts must be positive")
     exp = np.full_like(obs, total / obs.size)
     stat = float(np.sum((obs - exp) ** 2 / exp))
-    crit = chi2_critical(obs.size - 1, significance)
+    crit = chi2_critical(obs.size - 1)
     return stat, crit, stat <= crit

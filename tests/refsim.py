@@ -4,7 +4,8 @@ Everything here works on full statevectors with numpy reshapes, deliberately
 sharing no code with the sparse engine under test. The token builders
 return plain amplitude maps built one secret block at a time. The scalar
 partial trace is the sparse engine's original Python walk, kept as the
-bit-exact reference for its array kernel. The two-sample
+bit-exact reference for its array kernel, and the hex form of a secret is
+the codec's original bit-string conversion. The two-sample
 chi-squared statistic compares sampled distributions in the tests. Axis 0 of the reshaped
 vector is the most significant bit of the basis index, matching the
 package's register ordering.
@@ -113,6 +114,13 @@ def paired_amplitudes(secret, perm) -> dict[int, float]:
         second = (j << k) | secret.block(j + 1)
         amps[(first << 2 * k) | second] = amp
     return amps
+
+
+def secret_hex(secret) -> str:
+    """A secret's hex form the original way: the blocks' k-bit binary strings
+    joined, read as one integer, and printed as k * 2^k / 4 hex digits."""
+    bits = "".join(format(int(b), f"0{secret.k}b") for b in secret._blocks)
+    return format(int(bits, 2), f"0{len(bits) // 4}x")
 
 
 def chi_squared_two_sample(counts_a, counts_b) -> tuple[float, int]:

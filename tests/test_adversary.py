@@ -19,7 +19,6 @@ def rng_for(seed=0):
 
 def test_forgery_bound_values():
     assert adversary.eval_forgery_bound(256, 1, 2**16) == 0.0390625
-    assert adversary.eval_forgery_bound(256, 1, 2**16, constant=6) == 0.046875
     # Clamped once q reaches y_size / (5 N).
     assert adversary.eval_forgery_bound(4, 100, 16) == 1.0
     with pytest.raises(ValueError):
@@ -28,14 +27,13 @@ def test_forgery_bound_values():
 
 def test_forgery_bound_constant6_matches_eps_f_at_scheme_parameters():
     # With N = cap_test, q + 1 = cap_mint + 1 = 2^(k/4) and |Y| = 2^k the
-    # constant-6 bound collapses to eps_f = 6 * 2^(-k/4); needs k large
-    # enough that the unclamped bound is below 1.
+    # constant-5 bound collapses to 5 * 2^(-k/4), and the same form with the
+    # constant 6 to eps_f = 6 * 2^(-k/4); needs k large enough that the
+    # unclamped bound is below 1.
     for k in (16, 20):
         params = scheme.SchemeParams.for_k(k)
-        bound = adversary.eval_forgery_bound(
-            params.cap_test, params.cap_mint, 1 << k, constant=6
-        )
-        assert abs(bound - params.eps_f) <= 1e-12
+        bound = adversary.eval_forgery_bound(params.cap_test, params.cap_mint, 1 << k)
+        assert abs(bound * 6 / 5 - params.eps_f) <= 1e-12
 
 
 def test_all_correct_bound_values():
@@ -54,19 +52,11 @@ def test_all_correct_bound_monotone_in_value_space():
 # -- forger strategies --------------------------------------------------------------
 
 
-def test_strategy_validation():
-    with pytest.raises(ValueError):
-        adversary.ForgerStrategy("x", 0, 4, policy="replay")
-    with pytest.raises(ValueError):
-        adversary.ForgerStrategy("x", 0, 4, policy="nope")
-
-
 def test_replay_never_wins():
-    strat = adversary.ForgerStrategy("replay", measured=1, guess_budget=2, policy="replay")
     rng = rng_for(1)
     for _ in range(300):
         secret = scheme.SecretString.random(8, rng)
-        accepted, submitted = adversary.run_forgery(secret, strat, rng)
+        accepted, submitted = adversary.run_forgery(secret, "replay", rng)
         assert submitted == 2
         assert accepted == 1  # the replayed copy is always rejected
 
@@ -76,26 +66,24 @@ def test_uniform_guess_win_rate_matches_exact_union():
     win probability is exactly 1 - (1 - 2^-k)^budget."""
     k = 8
     budget = scheme.SchemeParams.for_k(k).cap_test
-    strat = adversary.ForgerStrategy("uniform", measured=0, guess_budget=budget)
     expected = 1 - (1 - 2.0**-k) ** budget
     trials = 20_000
     rng = rng_for(2)
     wins = 0
     for _ in range(trials):
         secret = scheme.SecretString.random(k, rng)
-        accepted, _ = adversary.run_forgery(secret, strat, rng)
+        accepted, _ = adversary.run_forgery(secret, "uniform-guess", rng)
         wins += accepted > 0
     assert abs(wins / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
 
 
 def test_measured_tokens_always_accepted():
     k = 8
-    strat = adversary.ForgerStrategy("mg", measured=2, guess_budget=16)
     rng = rng_for(3)
     for _ in range(200):
         secret = scheme.SecretString.random(k, rng)
-        accepted, submitted = adversary.run_forgery(secret, strat, rng)
-        assert submitted == 16
+        accepted, submitted = adversary.run_forgery(secret, "measure-and-guess-2", rng)
+        assert submitted == 16  # cap_test at k=8
         # Measured pairs are valid; they can only collide with each other.
         assert accepted >= 1
 
@@ -103,16 +91,13 @@ def test_measured_tokens_always_accepted():
 def test_block_collision_policy_respects_bound():
     k = 8
     params = scheme.SchemeParams.for_k(k)
-    strat = adversary.ForgerStrategy(
-        "bc", measured=1, guess_budget=params.cap_test, policy="block-collision"
-    )
     bound = adversary.eval_forgery_bound(params.cap_test, 1, 1 << k)
     trials = 10_000
     rng = rng_for(4)
     wins = 0
     for _ in range(trials):
         secret = scheme.SecretString.random(k, rng)
-        accepted, _ = adversary.run_forgery(secret, strat, rng)
+        accepted, _ = adversary.run_forgery(secret, "block-collision", rng)
         wins += accepted > 1
     p_hat = wins / trials
     assert p_hat <= bound + 3 * math.sqrt(max(p_hat, 1 / trials) * (1 - p_hat) / trials)
@@ -124,11 +109,10 @@ def test_block_collision_guesses_use_distinct_unmeasured_indices(k):
     budget is accepted exactly when no guess repeats an index or reuses the
     measured one."""
     cap = scheme.SchemeParams.for_k(k).cap_test
-    strat = adversary.ForgerStrategy("bc", measured=1, guess_budget=cap, policy="block-collision")
     secret = scheme.SecretString(k, np.zeros(1 << k, dtype=np.uint64))
     rng = rng_for(5)
     for _ in range(20):
-        assert adversary.run_forgery(secret, strat, rng) == (cap, cap)
+        assert adversary.run_forgery(secret, "block-collision", rng) == (cap, cap)
 
 
 # -- tracking banks ----------------------------------------------------------------
@@ -177,7 +161,7 @@ def test_loaded_message_distribution_is_honest():
         index, value = scheme.unwire(k, wire)
         assert secret.block(index) == value
         counts[index - 1] += 1
-    _, _, ok = stats.uniformity_passes(counts, significance=0.001)
+    _, _, ok = stats.uniformity_passes(counts)
     assert ok
 
 
@@ -224,7 +208,7 @@ def test_paired_marginal_message_distribution_is_honest():
     for _ in range(trials):
         wire, _ = core.measure_register(state, layout, "token1", rng)
         counts[wire >> k] += 1
-    _, _, ok = stats.uniformity_passes(counts, significance=0.001)
+    _, _, ok = stats.uniformity_passes(counts)
     assert ok
 
 

@@ -142,3 +142,28 @@ def test_corrupt_log_is_reported_without_a_traceback(tmp_path, capsys, command):
         "(line 1, byte offset 0)\n"
     )
     assert log.read_text() == "VERIFY s1 1 00 OK\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "voting", "--k", "8", "--trials", "5", "--out", "{missing}"],
+         "[Errno 2] No such file or directory: '{missing}'"),
+        (["bounds", "--k", "4", "--out", "{missing}"],
+         "[Errno 2] No such file or directory: '{missing}'"),
+        (["mint", "--log", "{missing}"], "cannot recover {missing}: "),
+        (["serve", "--log", "{dir}", "--socket", "{dir}/bank.sock"], "cannot recover {dir}: "),
+        (["serve", "--log", "{dir}/bank.log", "--socket", "{missing}"],
+         "cannot listen on {missing}: "),
+    ],
+    ids=["run-out", "bounds-out", "mint-log", "serve-log-dir", "serve-socket"],
+)
+def test_unusable_paths_exit_2_without_a_traceback(tmp_path, capsys, argv, message):
+    """A missing directory or a directory in place of a file is refused on
+    one stderr line with exit 2; exit 1 means a metric failed."""
+    paths = {"missing": tmp_path / "missing" / "x", "dir": tmp_path}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(**paths)) and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()

@@ -1,8 +1,9 @@
 """Scenario runner tests at reduced trial counts, plus CSV determinism."""
 
+import numpy as np
 import pytest
 
-from qtoken import harness
+from qtoken import harness, stats
 
 
 def run(scenario, **kwargs):
@@ -42,7 +43,7 @@ def test_forgery_single_strategy_selection():
 
 
 def test_forgery_unknown_strategy():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown forger strategy 'psychic'"):
         run("forgery", k=8, trials=10, seed=5, strategy="psychic")
 
 
@@ -102,6 +103,26 @@ def test_incompatible_scenario_parameters(scenario):
     if scenario != "forgery":
         with pytest.raises(ValueError, match="takes no strategy"):
             run(scenario, trials=10, strategy="replay")
+
+
+@pytest.mark.parametrize("scenario", harness.SCENARIOS)
+def test_every_random_stream_of_a_run_is_distinct(monkeypatch, scenario):
+    """No two derivation keys of one run seed the same stream, so no trial
+    replays the set-up draws. States are compared, not keys: zero words that
+    pad a key up to the SeedSequence pool size change nothing, so (s,) and
+    (s, 0) are one stream."""
+    keys = []
+    spawn = stats.spawn_rng
+
+    def recording(*key):
+        keys.append(key)
+        return spawn(*key)
+
+    # trial_rng derives through spawn_rng, so every stream passes here.
+    monkeypatch.setattr(stats, "spawn_rng", recording)
+    run(scenario, trials=3, seed=3)
+    states = {tuple(np.random.SeedSequence(list(key)).generate_state(4)) for key in keys}
+    assert len(keys) > 1 and len(states) == len(keys)
 
 
 def test_unknown_scenario_refused():
