@@ -325,8 +325,11 @@ class _UnixServer(socketserver.ThreadingUnixStreamServer):
 
 def _parse_address(address: str):
     if ":" in address:
-        host, port = address.rsplit(":", 1)
-        return (host or "127.0.0.1", int(port)), False
+        host, port_s = address.rsplit(":", 1)
+        port = int(port_s)
+        if not 0 <= port <= 65535:
+            raise ValueError(f"TCP port {port} is outside 0-65535")
+        return (host or "127.0.0.1", port), False
     return address, True
 
 
@@ -354,7 +357,6 @@ class BankServer:
         self._server = server_cls(addr, _LineHandler)
         self._server.service = service
         self._is_unix = is_unix
-        self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> str:
@@ -362,10 +364,6 @@ class BankServer:
             return self._server.server_address
         host, port = self._server.server_address[:2]
         return f"{host}:{port}"
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
 
     def serve_forever(self) -> None:
         self._server.serve_forever()
@@ -375,5 +373,3 @@ class BankServer:
         self._server.server_close()
         if self._is_unix and _is_socket(self._server.server_address):
             os.unlink(self._server.server_address)
-        if self._thread is not None:
-            self._thread.join(timeout=5)

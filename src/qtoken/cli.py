@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from . import harness, scheme, stats
@@ -66,6 +68,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
+    # A missing --out directory is refused before the run; the file waits for the CSV.
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        return _refuse(FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out))
     spec = harness.ScenarioSpec(
         scenario=args.scenario,
         k=args.k,

@@ -59,13 +59,7 @@ class SparseState:
 
     __slots__ = ("num_qubits", "amplitudes", "_memo")
 
-    def __init__(
-        self,
-        num_qubits: int,
-        amplitudes: Mapping[int, complex],
-        *,
-        normalize: bool = False,
-    ):
+    def __init__(self, num_qubits: int, amplitudes: Mapping[int, complex]):
         if num_qubits < 1:
             raise ValueError("state needs at least one qubit")
         dim = 1 << num_qubits
@@ -83,23 +77,11 @@ class SparseState:
         norm_sq = sum(abs(a) ** 2 for a in amps.values())
         if not math.isfinite(norm_sq):
             raise ValueError(f"state norm^2 = {norm_sq!r} is not finite")
-        if normalize:
-            scale = 1.0 / math.sqrt(norm_sq)
-            amps = {i: a * scale for i, a in amps.items()}
-        elif abs(norm_sq - 1.0) > NORM_TOL:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         self.num_qubits = num_qubits
         self.amplitudes = amps
         self._memo = None
-
-    def dense(self) -> np.ndarray:
-        vec = np.zeros(1 << self.num_qubits, dtype=complex)
-        for i, a in self.amplitudes.items():
-            vec[i] = a
-        return vec
-
-    def __len__(self) -> int:
-        return len(self.amplitudes)
 
     def __repr__(self) -> str:
         return f"SparseState(num_qubits={self.num_qubits}, nonzeros={len(self.amplitudes)})"
@@ -156,14 +138,24 @@ class RegisterLayout:
 class DensityMatrix:
     """Dense density matrix; Hermitian, unit trace, PSD within tolerance."""
 
-    dim: int
     entries: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     def __post_init__(self):
         m = self.entries
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"entries shape {m.shape} does not match dim {self.dim}")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"entries shape {m.shape} is not square")
+        # Blocks of 256 rows bound the temporaries of m - m^H; the largest
+        # block maximum is the maximum over the whole matrix.
+        rows = 256
+        worst = np.max([
+            np.max(np.abs(m[r : r + rows] - m[:, r : r + rows].conj().T))
+            for r in range(0, self.dim, rows)
+        ])
+        if worst > NORM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         trace = np.trace(m)
         if abs(trace.real - 1.0) > NORM_TOL or abs(trace.imag) > NORM_TOL:
@@ -443,7 +435,7 @@ def reduced_density(
     rho = np.zeros(dim * dim, complex)
     np.add.at(rho.real, cell, ar * br - ai * nbi)
     np.add.at(rho.imag, cell, ar * nbi + ai * br)
-    return DensityMatrix(dim, rho.reshape(dim, dim))
+    return DensityMatrix(rho.reshape(dim, dim))
 
 
 def trace_distance_advantage(r1: DensityMatrix, r2: DensityMatrix) -> float:
@@ -477,4 +469,6 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> SparseState:
     dim = 1 << num_qubits
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     vec /= np.linalg.norm(vec)
-    return SparseState(num_qubits, dict(enumerate(vec.tolist())), normalize=True)
+    amps = dict(enumerate(vec.tolist()))
+    # Summed the way the validating constructor sums, which keeps every bit.
+    return _normalized_state(num_qubits, amps, sum(abs(a) ** 2 for a in amps.values()))

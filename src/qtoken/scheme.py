@@ -149,7 +149,10 @@ class SecretString:
 
 
 def wire(k: int, index: int, value: int) -> int:
-    """The 2k-bit serialized form of the pair (index, value): big-endian (I-1), then R."""
+    """The 2k-bit serialized form of the pair (index, value): big-endian (I-1), then R.
+
+    Integer arrays of indices and values give the array of their wire forms.
+    """
     return ((index - 1) << k) | value
 
 
@@ -222,8 +225,8 @@ def _token_layout(k: int) -> RegisterLayout:
 
 def token_wires(secret: SecretString) -> list[int]:
     """Wire forms of the series' 2^k valid pairs (i, block_i), in index order."""
-    k = secret.k
-    return ((np.arange(1 << k, dtype=np.uint64) << np.uint64(k)) | secret._blocks).tolist()
+    indices = np.arange(1, secret._blocks.size + 1, dtype=np.uint64)
+    return wire(secret.k, indices, secret._blocks).tolist()
 
 
 def token_state(secret: SecretString) -> SparseState:
@@ -296,5 +299,5 @@ def btest(secret: SecretString, indices, values) -> np.ndarray:
     if val.min() < 0 or val.max() >= size:
         raise ValueError(f"report value out of range [0, {size})")
     fresh = np.zeros(idx.size, dtype=bool)
-    fresh[np.unique(((idx - 1) << k) | val, return_index=True)[1]] = True
+    fresh[np.unique(wire(k, idx, val), return_index=True)[1]] = True
     return (secret._blocks[idx - 1] == val) & fresh

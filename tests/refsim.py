@@ -2,18 +2,47 @@
 
 Everything here works on full statevectors with numpy reshapes, deliberately
 sharing no code with the sparse engine under test. The token builders
-return plain amplitude maps built one secret block at a time. The scalar
-partial trace is the sparse engine's original Python walk, kept as the
-bit-exact reference for its array kernel, and the hex form of a secret is
-the codec's original bit-string conversion. The two-sample
-chi-squared statistic compares sampled distributions in the tests. Axis 0 of the reshaped
-vector is the most significant bit of the basis index, matching the
-package's register ordering.
+return plain amplitude maps built one secret block at a time. Three pieces
+are the engine's original code, kept as bit-exact references for what
+replaced them: the scalar partial trace for the array kernel of
+``reduced_density``, the prune-sum-scale normalisation for
+``random_state``, and the bit-string hex conversion for the secret codec.
+The two-sample chi-squared statistic compares sampled distributions in the
+tests. Axis 0 of the reshaped vector is the most significant bit of the
+basis index, matching the package's register ordering.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def dense(state) -> np.ndarray:
+    """A sparse state's full statevector."""
+    vec = np.zeros(1 << state.num_qubits, dtype=complex)
+    for i, a in state.amplitudes.items():
+        vec[i] = a
+    return vec
+
+
+def normalized_amplitudes(amplitudes) -> dict[int, complex]:
+    """Amplitudes scaled to unit norm the original way: those of modulus at
+    most 1e-12 dropped, the squared moduli of the rest summed in map order,
+    and each one multiplied by the inverse square root of that sum."""
+    amps = {int(i): complex(a) for i, a in amplitudes.items() if not abs(a) <= 1e-12}
+    scale = 1.0 / math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return {i: a * scale for i, a in amps.items()}
+
+
+def haar_amplitudes(num_qubits: int, rng) -> dict[int, complex]:
+    """A Haar-random state's amplitudes the original way: a complex Gaussian
+    vector divided by its 2-norm, then ``normalized_amplitudes``."""
+    dim = 1 << num_qubits
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vec /= np.linalg.norm(vec)
+    return normalized_amplitudes(dict(enumerate(vec.tolist())))
 
 
 def register_axes(layout, name) -> list[int]:

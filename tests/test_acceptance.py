@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import refsim
 from qtoken import bank, core, harness, scheme, stats
 
 SEED = 0
@@ -44,7 +45,7 @@ def test_criterion_1_swap_test_law():
         phi, psi = core.random_state(k, rng), core.random_state(k, rng)
         layout = core.RegisterLayout([("a", k), ("b", k)])
         joint = core.tensor(phi, psi)
-        expected = (1.0 - abs(np.vdot(phi.dense(), psi.dense())) ** 2) / 2.0
+        expected = (1.0 - abs(np.vdot(refsim.dense(phi), refsim.dense(psi))) ** 2) / 2.0
         exact = core.swap_probability(joint, layout, "a", "b")
         assert abs(exact - expected) <= 1e-9
         pairs.append((joint, layout, exact))

@@ -185,7 +185,7 @@ def test_pattern_survives_sequential_audits():
     and leaves the pattern marginal with fidelity 1."""
     k = 2
     secret, joint, layout = honest_joint(k, seed=12, extra_tokens=3)
-    pattern_vec = scheme.token_state(secret).dense()
+    pattern_vec = refsim.dense(scheme.token_state(secret))
     rng = rng_for(13)
     state = joint
     for token_name in ("t3", "t2", "t1"):

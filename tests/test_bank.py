@@ -7,6 +7,7 @@ import tempfile
 import threading
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,6 +31,21 @@ def fresh_service(k=4, seed=0, **kwargs):
 
 def valid_report(secret, index=1):
     return index, secret.block(index)
+
+
+@contextmanager
+def serving(service, address):
+    """A ``BankServer`` answering on ``address`` from a thread until the block
+    ends; then it is stopped and its thread joined."""
+    server = bank.BankServer(service, address)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class LineClient:
@@ -251,17 +267,13 @@ def test_non_ascii_line_is_an_unlogged_bad_request(tmp_path):
 
 def test_non_ascii_line_keeps_the_socket_connection(tmp_path):
     service, secret, sid = fresh_service(k=8, seed=13, log_path=str(tmp_path / "bank.log"))
-    server = bank.BankServer(service, str(tmp_path / "bank.sock"))
-    server.start()
-    try:
+    with serving(service, str(tmp_path / "bank.sock")) as server:
         client = LineClient(server.address)
         for index, line in enumerate(NON_ASCII_LINES, start=1):
             assert client.request(line) == "ERROR bad-request"
             assert client.request(f"DECODE {sid} {index} {secret.block(index):02x}") == "OK 00"
         client.close()
-    finally:
-        server.stop()
-        service.close()
+    service.close()
 
 
 def test_failed_log_write_answers_unavailable_and_keeps_the_connection(tmp_path):
@@ -276,9 +288,7 @@ def test_failed_log_write_answers_unavailable_and_keeps_the_connection(tmp_path)
         write(record[: len(record) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    server = bank.BankServer(service, str(tmp_path / "bank.sock"))
-    server.start()
-    try:
+    with serving(service, str(tmp_path / "bank.sock")) as server:
         client = LineClient(server.address)
         line = f"VERIFY {sid} 3 {secret.block(3):02x}"
         service._log.write = half_then_full
@@ -287,37 +297,27 @@ def test_failed_log_write_answers_unavailable_and_keeps_the_connection(tmp_path)
         service._log.write = write
         assert client.request(line) == "OK"
         client.close()
-    finally:
-        server.stop()
-        service.close()
+    service.close()
     record = f"VERIFY {sid} 3 {scheme.wire(8, 3, secret.block(3)):04x} OK\n"
     assert log.read_bytes() == before + record.encode()
 
 
 def test_socket_server_roundtrip(tmp_path):
     service, secret, sid = fresh_service(k=8, seed=13)
-    server = bank.BankServer(service, str(tmp_path / "bank.sock"))
-    server.start()
-    try:
+    with serving(service, str(tmp_path / "bank.sock")) as server:
         client = LineClient(server.address)
         assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "OK"
         assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "REJECT double-spend"
         assert client.request(f"DECODE {sid} 3 {secret.block(3):02x}") == "OK 00"
         client.close()
-    finally:
-        server.stop()
 
 
 def test_tcp_server_roundtrip():
     service, secret, sid = fresh_service(k=8, seed=14)
-    server = bank.BankServer(service, "127.0.0.1:0")
-    server.start()
-    try:
+    with serving(service, "127.0.0.1:0") as server:
         client = LineClient(server.address)
         assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "OK"
         client.close()
-    finally:
-        server.stop()
 
 
 def test_server_refuses_a_regular_file_and_replaces_a_stale_socket(tmp_path):
@@ -332,36 +332,29 @@ def test_server_refuses_a_regular_file_and_replaces_a_stale_socket(tmp_path):
     leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     leftover.bind(str(stale))
     leftover.close()
-    server = bank.BankServer(service, str(stale))
-    server.start()
-    try:
+    with serving(service, str(stale)) as server:
         client = LineClient(server.address)
         assert client.request(f"VERIFY {sid} 2 {secret.block(2):02x}") == "OK"
         client.close()
-    finally:
-        server.stop()
     assert not stale.exists()
 
 
 def test_concurrent_socket_clients_single_accept(tmp_path):
     service, secret, sid = fresh_service(k=8, seed=15)
-    server = bank.BankServer(service, str(tmp_path / "bank.sock"))
-    server.start()
     line = f"VERIFY {sid} 1 {secret.block(1):02x}"
     barrier = threading.Barrier(8)
 
-    def worker():
-        client = LineClient(server.address)
+    def worker(address):
+        client = LineClient(address)
         barrier.wait()
         results = [client.request(line) for _ in range(5)]
         client.close()
         return results
 
-    try:
+    with serving(service, str(tmp_path / "bank.sock")) as server:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            all_results = [r for f in [pool.submit(worker) for _ in range(8)] for r in f.result()]
-    finally:
-        server.stop()
+            futures = [pool.submit(worker, server.address) for _ in range(8)]
+            all_results = [r for f in futures for r in f.result()]
     assert all_results.count("OK") == 1
 
 

@@ -167,3 +167,32 @@ def test_unusable_paths_exit_2_without_a_traceback(tmp_path, capsys, argv, messa
     assert captured.out == ""
     assert captured.err.startswith(message.format(**paths)) and captured.err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+def test_run_refuses_a_missing_out_directory_before_the_run(tmp_path, capsys, monkeypatch):
+    """A mistyped --out directory costs no run, and an existing --out file is
+    neither opened nor truncated by a refused run."""
+
+    def no_run(spec):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli.harness, "run_scenario", no_run)
+    missing = tmp_path / "missing" / "x.csv"
+    assert cli.main(["run", "voting", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err == f"[Errno 2] No such file or directory: '{missing}'\n"
+    assert not missing.parent.exists()
+
+    monkeypatch.undo()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier results\n")
+    assert cli.main(["run", "forgery", "--k", "6", "--out", str(kept)]) == 2
+    assert kept.read_text() == "earlier results\n"
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+def test_serve_refuses_a_tcp_port_out_of_range(tmp_path, capsys, port):
+    address = f"127.0.0.1:{port}"
+    assert cli.main(["serve", "--log", str(tmp_path / "bank.log"), "--socket", address]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot listen on {address}: TCP port {port} is outside 0-65535\n"
+    )

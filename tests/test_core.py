@@ -28,9 +28,9 @@ def engine_swap(state, layout, reg_a, reg_b) -> np.ndarray:
     p1 = core.swap_probability(state, layout, reg_a, reg_b)
     out = np.zeros(1 << state.num_qubits, dtype=complex)
     if p1 < 1 - 1e-12:
-        out += math.sqrt(1 - p1) * core.swap_project(state, layout, reg_a, reg_b, 0).dense()
+        out += math.sqrt(1 - p1) * refsim.dense(core.swap_project(state, layout, reg_a, reg_b, 0))
     if p1 > 1e-12:
-        out -= math.sqrt(p1) * core.swap_project(state, layout, reg_a, reg_b, 1).dense()
+        out -= math.sqrt(p1) * refsim.dense(core.swap_project(state, layout, reg_a, reg_b, 1))
     return out
 
 
@@ -46,23 +46,17 @@ def test_rejects_unnormalized_state():
         core.SparseState(1, {0: 1.0, 1: 1.0})
 
 
-def test_normalize_flag():
-    s = core.SparseState(1, {0: 2.0, 1: 2.0}, normalize=True)
-    assert abs(np.linalg.norm(s.dense()) ** 2 - 1.0) <= TOL
-
-
 def test_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         core.SparseState(1, {2: 1.0})
 
 
-@pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize(
     "bad", [float("nan"), complex(0.0, float("nan")), float("inf"), float("-inf")]
 )
-def test_rejects_non_finite_amplitudes(bad, normalize):
+def test_rejects_non_finite_amplitudes(bad):
     with pytest.raises(ValueError, match="not finite"):
-        core.SparseState(1, {0: 1.0, 1: bad}, normalize=normalize)
+        core.SparseState(1, {0: 1.0, 1: bad})
 
 
 def test_uniform_state_keeps_key_order_and_refuses_repeats():
@@ -82,11 +76,22 @@ def test_every_operation_preserves_normalization():
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
     for _ in range(20):
         state = core.random_state(4, rng)
-        assert abs(np.linalg.norm(state.dense()) ** 2 - 1.0) <= TOL
+        assert abs(np.linalg.norm(refsim.dense(state)) ** 2 - 1.0) <= TOL
         _, post = core.swap_test(state, layout, "a", "b", rng)
-        assert abs(np.linalg.norm(post.dense()) ** 2 - 1.0) <= TOL
+        assert abs(np.linalg.norm(refsim.dense(post)) ** 2 - 1.0) <= TOL
         _, post = core.measure_register(state, layout, "a", rng)
-        assert abs(np.linalg.norm(post.dense()) ** 2 - 1.0) <= TOL
+        assert abs(np.linalg.norm(refsim.dense(post)) ** 2 - 1.0) <= TOL
+
+
+def test_random_state_equals_the_original_normalisation_bit_for_bit():
+    """random_state scales through the engine's one normaliser, and every
+    amplitude keeps the bits of the original prune-sum-scale construction."""
+    for seed in range(2000):
+        n = 1 + seed % 6
+        got = core.random_state(n, rng_for(seed)).amplitudes
+        want = refsim.haar_amplitudes(n, rng_for(seed))
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 # -- tensor -----------------------------------------------------------------------
@@ -99,7 +104,7 @@ def test_tensor_basis_states():
 
 def test_tensor_plus_plus():
     out = core.tensor(plus_state(), plus_state())
-    assert len(out) == 4
+    assert len(out.amplitudes) == 4
     assert all(abs(a - 0.5) <= TOL for a in out.amplitudes.values())
 
 
@@ -113,7 +118,7 @@ def test_tensor_two_tokens_k2():
         for x in token.amplitudes
         for y in token.amplitudes
     }
-    assert len(joint) == 16
+    assert len(joint.amplitudes) == 16
     for idx, amp in expected.items():
         assert abs(joint.amplitudes[idx] - amp) <= TOL
 
@@ -123,7 +128,8 @@ def test_tensor_matches_kron_oracle():
     for _ in range(10):
         a = core.random_state(2, rng)
         b = core.random_state(3, rng)
-        assert np.allclose(core.tensor(a, b).dense(), np.kron(a.dense(), b.dense()))
+        kron = np.kron(refsim.dense(a), refsim.dense(b))
+        assert np.allclose(refsim.dense(core.tensor(a, b)), kron)
 
 
 # -- inner product -----------------------------------------------------------------
@@ -132,9 +138,9 @@ def test_tensor_matches_kron_oracle():
 def test_inner_product_normalization_and_orthogonality():
     rng = rng_for(5)
     phi = core.random_state(3, rng)
-    assert abs(np.vdot(phi.dense(), phi.dense()) - 1.0) <= TOL
+    assert abs(np.vdot(refsim.dense(phi), refsim.dense(phi)) - 1.0) <= TOL
     a, b = core.SparseState(2, {0b00: 1.0}), core.SparseState(2, {0b11: 1.0})
-    assert np.vdot(a.dense(), b.dense()) == 0
+    assert np.vdot(refsim.dense(a), refsim.dense(b)) == 0
 
 
 def test_inner_product_token_overlap_one_block_differs():
@@ -146,7 +152,9 @@ def test_inner_product_token_overlap_one_block_differs():
         blocks = [secret.block(i + 1) for i in range(1 << k)]
         blocks[0] ^= 1
         other = scheme.SecretString(k, blocks)
-        overlap = np.vdot(scheme.token_state(secret).dense(), scheme.token_state(other).dense())
+        overlap = np.vdot(
+            refsim.dense(scheme.token_state(secret)), refsim.dense(scheme.token_state(other))
+        )
         assert abs(overlap - (1 - 2.0**-k)) <= TOL
 
 
@@ -191,7 +199,7 @@ def test_measure_marginals_match_dense_oracle():
     rng = rng_for(14)
     layout = core.RegisterLayout([("a", 2), ("b", 3)])
     state = core.random_state(5, rng)
-    probs = refsim.dense_register_probabilities(state.dense(), layout, "b")
+    probs = refsim.dense_register_probabilities(refsim.dense(state), layout, "b")
     counts = np.zeros(8)
     trials = 40_000
     for _ in range(trials):
@@ -207,7 +215,7 @@ def test_measure_marginals_match_dense_oracle():
 def test_register_swap_basis():
     layout = core.RegisterLayout([("a", 1), ("b", 1)])
     out = engine_swap(core.SparseState(2, {0b01: 1.0}), layout, "a", "b")
-    assert dense_close(out, core.SparseState(2, {0b10: 1.0}).dense())
+    assert dense_close(out, refsim.dense(core.SparseState(2, {0b10: 1.0})))
 
 
 def test_register_swap_symmetric_input_fixed():
@@ -215,8 +223,9 @@ def test_register_swap_symmetric_input_fixed():
     phi = core.random_state(2, rng)
     joint = core.tensor(phi, phi)
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
-    assert dense_close(engine_swap(joint, layout, "a", "b"), joint.dense())
-    assert dense_close(refsim.dense_swap(joint.dense(), layout, "a", "b"), joint.dense())
+    vec = refsim.dense(joint)
+    assert dense_close(engine_swap(joint, layout, "a", "b"), vec)
+    assert dense_close(refsim.dense_swap(vec, layout, "a", "b"), vec)
 
 
 def test_register_swap_is_involution_and_matches_oracle():
@@ -224,9 +233,9 @@ def test_register_swap_is_involution_and_matches_oracle():
     layout = core.RegisterLayout([("x", 2), ("mid", 1), ("y", 2)])
     state = core.random_state(5, rng)
     once = engine_swap(state, layout, "x", "y")
-    assert dense_close(once, refsim.dense_swap(state.dense(), layout, "x", "y"))
+    assert dense_close(once, refsim.dense_swap(refsim.dense(state), layout, "x", "y"))
     twice = refsim.dense_swap(once, layout, "x", "y")
-    assert dense_close(twice, state.dense())
+    assert dense_close(twice, refsim.dense(state))
 
 
 def test_register_swap_exchanges_pairing_roles():
@@ -263,7 +272,7 @@ def test_swap_test_identical_product_always_zero():
     for _ in range(50):
         bit, post = core.swap_test(joint, layout, "a", "b", rng)
         assert bit == 0
-        assert dense_close(post.dense(), joint.dense())
+        assert dense_close(refsim.dense(post), refsim.dense(joint))
 
 
 def test_swap_probability_orthogonal_and_known_values():
@@ -288,7 +297,7 @@ def test_swap_law_on_random_product_pairs():
         phi, psi = core.random_state(k, rng), core.random_state(k, rng)
         joint = core.tensor(phi, psi)
         layout = core.RegisterLayout([("a", k), ("b", k)])
-        expected = (1 - abs(np.vdot(phi.dense(), psi.dense())) ** 2) / 2
+        expected = (1 - abs(np.vdot(refsim.dense(phi), refsim.dense(psi))) ** 2) / 2
         assert abs(core.swap_probability(joint, layout, "a", "b") - expected) <= TOL
 
 
@@ -298,7 +307,7 @@ def test_swap_probability_matches_dense_oracle_on_entangled_states():
     for _ in range(25):
         state = core.random_state(4, rng)
         got = core.swap_probability(state, layout, "a", "b")
-        want = refsim.dense_swap_probability(state.dense(), layout, "a", "b")
+        want = refsim.dense_swap_probability(refsim.dense(state), layout, "a", "b")
         assert abs(got - want) <= TOL
 
 
@@ -312,7 +321,7 @@ def test_swap_test_projective_structure():
         state = core.random_state(4, rng)
         bit, post_state = core.swap_test(state, layout, "a", "b", rng)
         seen.add(bit)
-        post = post_state.dense()
+        post = refsim.dense(post_state)
         swapped_post = refsim.dense_swap(post, layout, "a", "b")
         if bit == 0:
             assert dense_close(swapped_post, post)
@@ -352,7 +361,7 @@ def test_reduced_density_product_state():
     phi, psi = core.random_state(2, rng), core.random_state(2, rng)
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
     rho = core.reduced_density(core.tensor(phi, psi), layout, "a")
-    vec = phi.dense()
+    vec = refsim.dense(phi)
     assert np.allclose(rho.entries, np.outer(vec, vec.conj()), atol=TOL)
 
 
@@ -384,7 +393,7 @@ def test_reduced_density_matches_dense_oracle_with_reordering():
     for keep in (["r1"], ["r0", "r2"], ["r2", "r0"]):
         state = core.random_state(6, rng)
         got = core.reduced_density(state, layout, keep)
-        want = refsim.dense_reduced_density(state.dense(), layout, keep)
+        want = refsim.dense_reduced_density(refsim.dense(state), layout, keep)
         assert np.allclose(got.entries, want, atol=TOL)
 
 
@@ -404,7 +413,7 @@ def partial_traces(draw):
         support = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=48, unique=True))
     amps = {i: complex(draw(part), draw(part)) for i in support}
     assume(max(abs(a) for a in amps.values()) > 1e-3)
-    state = core.SparseState(n, amps, normalize=True)
+    state = core.SparseState(n, refsim.normalized_amplitudes(amps))
     pairs = [(a, b) for a in layout.names for b in layout.names
              if a < b and layout.width(a) == layout.width(b)]
     if pairs and draw(st.booleans()):
@@ -440,7 +449,7 @@ def test_reduced_density_of_wide_layouts_equals_the_scalar_walk(widths):
     rng = rng_for(31)
     support = {(1 << n) - 1} | {int.from_bytes(rng.bytes(9), "big") % (1 << n) for _ in range(23)}
     amps = {i: complex(*rng.normal(size=2)) for i in support}
-    state = core.SparseState(n, amps, normalize=True)
+    state = core.SparseState(n, refsim.normalized_amplitudes(amps))
     got = core.reduced_density(state, layout, ["b", "a"]).entries
     assert got.tobytes() == refsim.scalar_reduced_density(state, layout, ["b", "a"]).tobytes()
 
@@ -450,6 +459,19 @@ def test_reduced_density_respects_dense_limit():
     state = core.SparseState(14, {0: 1.0})
     with pytest.raises(ValueError):
         core.reduced_density(state, layout, ["a", "b"])
+
+
+@pytest.mark.parametrize("dim", [300, 512])
+def test_density_matrix_refuses_a_non_hermitian_pair_in_the_last_rows(dim):
+    """The Hermitian check runs over blocks of rows; a pair whose two entries
+    both lie in the last block, whole or cut short, is still refused."""
+    entries = np.eye(dim, dtype=complex) / dim
+    assert core.DensityMatrix(entries).dim == dim
+    entries[dim - 1, dim - 2] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        core.DensityMatrix(entries)
+    with pytest.raises(ValueError, match="not square"):
+        core.DensityMatrix(entries[:, 1:])
 
 
 def test_trace_distance_advantage_known_values():
@@ -505,7 +527,7 @@ def test_loaded_joint_detection_probability_via_both_routes():
     layout = core.RegisterLayout([("pattern", 2 * k), ("bank", k), ("token", 2 * k)])
     p1 = core.swap_probability(joint, layout, "pattern", "token")
 
-    pat_rho = np.outer(pattern.dense(), pattern.dense().conj())
+    pat_rho = np.outer(refsim.dense(pattern), refsim.dense(pattern).conj())
     tok_rho = core.reduced_density(joint, layout, "token").entries
     overlap = float(np.trace(pat_rho @ tok_rho).real)
     assert abs(overlap - 2.0**-k) <= TOL
@@ -548,7 +570,7 @@ def joint_states(draw):
         amps = {int(i): 1.0 for i in support}
     else:
         amps = {int(i): complex(rng.normal(), rng.normal()) for i in support}
-    return core.SparseState(n, amps, normalize=True), layout
+    return core.SparseState(n, refsim.normalized_amplitudes(amps)), layout
 
 
 def fresh(state):
@@ -611,15 +633,15 @@ def test_memoised_measurement_matches_the_uncached_walk(case, seed):
 def test_memoised_swap_test_matches_the_exact_probability(case, seed):
     state, layout = case
     p1 = core.swap_probability(state, layout, "p", "t1")
-    swapped = refsim.dense_swap(state.dense(), layout, "p", "t1")
+    swapped = refsim.dense_swap(refsim.dense(state), layout, "p", "t1")
     rng, ref_rng = rng_for(seed), rng_for(seed)
     for _ in range(3):  # the first call fills the memo, the rest read it
         bit, post = core.swap_test(state, layout, "p", "t1", rng)
         assert bit == (1 if ref_rng.random() < p1 else 0)
         want = core.swap_project(fresh(state), layout, "p", "t1", bit)
         assert list(post.amplitudes.items()) == list(want.amplitudes.items())
-        projected = (state.dense() + (1 - 2 * bit) * swapped) / 2
-        assert dense_close(post.dense(), projected / np.linalg.norm(projected))
+        projected = (refsim.dense(state) + (1 - 2 * bit) * swapped) / 2
+        assert dense_close(refsim.dense(post), projected / np.linalg.norm(projected))
     assert rng.random() == ref_rng.random()
 
 
@@ -689,7 +711,7 @@ class FixedDraw:
 
 
 def test_a_draw_at_or_above_the_last_running_sum_takes_the_last_outcome():
-    state = core.SparseState(3, {i: 1.0 for i in range(5)}, normalize=True)
+    state = core.SparseState(3, refsim.normalized_amplitudes({i: 1.0 for i in range(5)}))
     layout = core.RegisterLayout([("all", 3)])
     weights = [abs(a) ** 2 for a in state.amplitudes.values()]
     # A draw of 1.0 lands on the total, which is not below the last running sum.

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+import refsim
 from qtoken import audit, core, harness, stats
 
 
@@ -48,7 +49,7 @@ def test_swap_chain_relation_admits_crafted_counterexamples():
     # lhs <= first + second by exactly (2*sqrt(3)-3)/4.
     r3 = math.sqrt(3)
     chi = core.SparseState(
-        3, {0b001: 1.0, 0b010: 1.0 + r3, 0b100: -(2.0 + r3)}, normalize=True
+        3, refsim.normalized_amplitudes({0b001: 1.0, 0b010: 1.0 + r3, 0b100: -(2.0 + r3)})
     )
     lhs = core.swap_probability(chi, layout, "r1", "r2")
     first = core.swap_probability(chi, layout, "r2", "r3")
