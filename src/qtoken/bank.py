@@ -26,7 +26,8 @@ never replays them. A bad record that ends in a newline is refused with its
 line and byte offset.
 
 Wire protocol (one ASCII request per line, whitespace-separated fields,
-binary payloads hex-encoded lowercase):
+binary payloads hex-encoded lowercase; a line longer than 4 KiB, its newline
+not counted, is answered ``ERROR bad-request`` and not logged):
 
     VERIFY <series> <I> <R_hex>   ->  OK | REJECT <reason> | ERROR <reason>
     DECODE <series> <I> <C_hex>   ->  OK <M_hex> | REJECT <reason> | ERROR <reason>
@@ -57,6 +58,8 @@ from .scheme import Ledger, SchemeParams, SecretString, unwire, wire
 
 # Pad verbs and the rejection each gives for an already spent pair.
 _PAD_REJECTIONS = {"DECODE": "reused-pad", "VOTE": "double-vote"}
+
+_MAX_LINE = 4096  # bytes in a request line, its newline not counted
 
 
 class CorruptLogError(RuntimeError):
@@ -307,11 +310,16 @@ class BankService:
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace")
-            response = self.server.service.handle_line(line)
+        # Reads stop at the cap: a peer that never sends a newline cannot grow the buffer.
+        while raw := self.rfile.readline(_MAX_LINE + 1):
+            if len(raw) <= _MAX_LINE or raw.endswith(b"\n"):
+                response = self.server.service.handle_line(raw.decode("utf-8", errors="replace"))
+            else:  # over the cap: answered at once, the rest dropped through its newline
+                response = "ERROR bad-request"
             self.wfile.write((response + "\n").encode("utf-8"))
             self.wfile.flush()
+            while not raw.endswith(b"\n") and (raw := self.rfile.readline(_MAX_LINE + 1)):
+                pass
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):

@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log", required=True, help="append-only log path (replayed on start)")
     serve.add_argument("--socket", required=True,
                        help="unix socket path, or host:port for TCP")
-    serve.add_argument("--no-sync", action="store_true",
-                       help="skip fsync after each record (testing only)")
 
     mint = sub.add_parser(
         "mint", help="register a fresh series in a service log and print sample reports"
@@ -68,7 +66,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    # A missing --out directory is refused before the run; the file waits for the CSV.
+    # An unusable --out is refused before the run; the file waits for the CSV.
+    if args.out is not None and os.path.isdir(args.out):
+        return _refuse(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out))
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         return _refuse(FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out))
     spec = harness.ScenarioSpec(
@@ -104,18 +104,18 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _recover(log: str, sync: bool = True) -> BankService | None:
+def _recover(log: str) -> BankService | None:
     """Replay ``log`` into a service; on a corrupt or unusable log, print why
     and return None."""
     try:
-        return BankService.recover(log, sync=sync)
+        return BankService.recover(log)
     except (CorruptLogError, OSError) as exc:
         print(f"cannot recover {log}: {exc}", file=sys.stderr)
         return None
 
 
 def _cmd_serve(args) -> int:
-    service = _recover(args.log, sync=not args.no_sync)
+    service = _recover(args.log)
     if service is None:
         return 2
     try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import sqrt
 
@@ -34,7 +35,6 @@ from .core import (
     reduced_density,
     swap_project,
     tensor,
-    trace_distance_advantage,
 )
 
 _MAX_QUANTUM_K = 8
@@ -162,12 +162,13 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
 
 def _run_honest_flow(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     k, trials, seed = spec.k, spec.trials, spec.seed
-    service = BankService()
     accepted = valid = 0
     index_counts = np.zeros(1 << k, dtype=np.int64)
     for t in range(trials):
         rng = stats.trial_rng(seed, t)
         secret = scheme.SecretString.random(k, rng, f"t{t}")
+        # One service per trial, so a finished trial's secret and ledger are freed.
+        service = BankService()
         sid = service.register_series(secret)
         index, value = scheme.report(scheme.token_state(secret), rng)
         accepted += service.handle("VERIFY", sid, index, value).status == "OK"
@@ -196,23 +197,20 @@ def _run_adversarial_history(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     params = scheme.SchemeParams.for_k(k)
     j_foreign = 15
     j_same = params.cap_test - 1
-    rejected_foreign = rejected_same = 0
+    rejected = [0, 0]
     for t in range(trials):
         rng = stats.trial_rng(seed, t)
         secret = scheme.SecretString.random(k, rng)
         token = scheme.token_state(secret)
-
         decoy = scheme.SecretString.random(k, rng, "decoy")
-        ledger = scheme.Ledger(secret)
-        for i in rng.permutation(size)[:j_foreign]:
-            ledger.verify(int(i) + 1, decoy.block(int(i) + 1))
-        rejected_foreign += ledger.check(*scheme.report(token, rng)) is not None
+        # The foreign history, then the same-series one, each on a fresh uncapped ledger.
+        for h, (source, j) in enumerate(((decoy, j_foreign), (secret, j_same))):
+            ledger = scheme.Ledger(secret)
+            for i in rng.permutation(size)[:j]:
+                ledger.verify(int(i) + 1, source.block(int(i) + 1))
+            rejected[h] += ledger.check(*scheme.report(token, rng)) is not None
 
-        ledger_same = scheme.Ledger(secret)
-        for i in rng.permutation(size)[:j_same]:
-            ledger_same.verify(int(i) + 1, secret.block(int(i) + 1))
-        rejected_same += ledger_same.check(*scheme.report(token, rng)) is not None
-
+    rejected_foreign, rejected_same = rejected
     p_foreign = j_foreign / size**2
     p_same = j_same / size
     return (
@@ -323,21 +321,26 @@ def _run_tracking_audit(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
 # -- one-time pads and voting ------------------------------------------------------
 
 
-def _run_otp(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
-    k, trials, seed = spec.k, spec.trials, spec.seed
-    size = 1 << k
-    if trials > size:
-        raise ValueError("more roundtrips than distinct pad indices")
-    setup = stats.spawn_rng(seed, 0)
-    secret = scheme.SecretString.random(k, setup, "otp")
+def _pad_series(spec: ScenarioSpec, tag: str, users: str):
+    """The one series a pad scenario spends: its secret, an in-memory service
+    holding it, its id, and a distinct pad index in [1, 2^k] per trial."""
+    size = 1 << spec.k
+    if spec.trials > size:
+        raise ValueError(f"more {users} than distinct pad indices")
+    setup = stats.spawn_rng(spec.seed, 0)
+    secret = scheme.SecretString.random(spec.k, setup, tag)
     service = BankService()
     sid = service.register_series(secret)
-    indices = setup.permutation(size)[:trials]
+    return secret, service, sid, setup.permutation(size)[:spec.trials] + 1
+
+
+def _run_otp(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
+    trials = spec.trials
+    secret, service, sid, indices = _pad_series(spec, "otp", "roundtrips")
     roundtrips = reuse_rejected = 0
-    for t in range(trials):
-        rng = stats.spawn_rng(seed, 1, t)
-        index = int(indices[t]) + 1
-        message = int(rng.integers(0, size))
+    for t, index in enumerate(indices.tolist()):
+        rng = stats.spawn_rng(spec.seed, 1, t)
+        message = int(rng.integers(0, 1 << spec.k))
         pad = secret.block(index)  # the holder knows R from measuring the token
         cipher = pad ^ message
         decision = service.handle("DECODE", sid, index, cipher)
@@ -353,37 +356,25 @@ def _run_otp(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
 
 
 def _run_voting(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
-    k, voters, seed = spec.k, spec.trials, spec.seed
-    size = 1 << k
-    if voters > size:
-        raise ValueError("more voters than distinct pad indices")
-    setup = stats.spawn_rng(seed, 0)
-    secret = scheme.SecretString.random(k, setup, "vote")
-    service = BankService()
-    sid = service.register_series(secret)
-    indices = setup.permutation(size)[:voters]
-    cast: list[int] = []
-    accepted = 0
-    double_rejected = 0
-    double_votes = 0
-    for t in range(voters):
-        rng = stats.spawn_rng(seed, 1, t)
-        index = int(indices[t]) + 1
+    voters = spec.trials
+    secret, service, sid, indices = _pad_series(spec, "vote", "voters")
+    cast: Counter[int] = Counter()
+    accepted = double_rejected = 0
+    for t, index in enumerate(indices.tolist()):
+        rng = stats.spawn_rng(spec.seed, 1, t)
         choice = int(rng.integers(0, 2))
         pad = secret.block(index)
-        decision = service.handle("VOTE", sid, index, pad ^ choice)
-        accepted += decision.status == "OK"
-        cast.append(choice)
+        accepted += service.handle("VOTE", sid, index, pad ^ choice).status == "OK"
+        cast[choice] += 1
         if t % 10 == 0:  # every tenth voter tries to vote twice with the same pad
-            double_votes += 1
             again = service.handle("VOTE", sid, index, pad ^ (1 - choice))
             double_rejected += again.status == "REJECT"
+    double_votes = len(range(0, voters, 10))
     tally = service.snapshot(sid)["tally"]
-    expected_tally = {c: cast.count(c) for c in set(cast)}
     return (
         _rate_metric("votes_accepted", accepted, voters, 1.0,
                      "every fresh token casts exactly one vote"),
-        _rate_metric("tally_matches_cast", int(tally == expected_tally), 1, 1.0,
+        _rate_metric("tally_matches_cast", int(tally == cast), 1, 1.0,
                      "the tally equals the multiset of cast votes"),
         _rate_metric("double_votes_rejected", double_rejected, double_votes, 1.0,
                      "double votes with a reused pad are rejected"),
@@ -463,14 +454,11 @@ def swap_mixed_checks(rng, instances: int) -> tuple[float, float]:
     worst = worst_consistency = 0.0
     for _ in range(instances):
         chi = random_state(6, rng)
-        sigma = reduced_density(chi, _MIXED_LAYOUT, ["r1", "r2"])
-        sigma_1 = reduced_density(chi, _MIXED_LAYOUT, ["r0", "r1"])
-        sigma_2 = reduced_density(chi, _MIXED_LAYOUT, ["r0", "r2"])
-        advantage = trace_distance_advantage(sigma_1, sigma_2)
-        p_pure = swap_probability(chi, _MIXED_LAYOUT, "r1", "r2")
-        p_mixed = swap_probability_density(sigma)
+        gap = audit.anonymity_gap(chi, _MIXED_LAYOUT, "r0", "r1", "r2")
+        p_pure = swap_probability(chi, _MIXED_LAYOUT, "r1", "r2")  # memoised by the gap
+        p_mixed = swap_probability_density(reduced_density(chi, _MIXED_LAYOUT, ["r1", "r2"]))
         worst_consistency = max(worst_consistency, abs(p_pure - p_mixed))
-        worst = max(worst, advantage - (0.5 + sqrt(p_pure)))
+        worst = max(worst, gap.advantage - gap.detection_bound)
     return worst, worst_consistency
 
 

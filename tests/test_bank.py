@@ -276,6 +276,33 @@ def test_non_ascii_line_keeps_the_socket_connection(tmp_path):
     service.close()
 
 
+def test_request_line_past_4_kib_is_answered_before_its_newline(tmp_path):
+    """A line of exactly 4 KiB is served; a longer one gets one unlogged
+    ERROR bad-request as soon as it passes the cap, and the connection serves
+    the line after it."""
+    log = tmp_path / "bank.log"
+    service, secret, sid = fresh_service(k=8, seed=13, log_path=str(log))
+    with serving(service, str(tmp_path / "bank.sock")) as server:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(5)
+            sock.connect(server.address)
+            replies = sock.makefile("rb")
+            prefix = f"VERIFY {sid} 2 "
+            at_cap = prefix + format(secret.block(2), f"0{4096 - len(prefix)}x")
+            sock.sendall(at_cap.encode() + b"\n")
+            assert replies.readline() == b"OK\n"
+            logged = log.read_bytes()
+            sock.sendall(b"x" * 5000)
+            assert replies.readline() == b"ERROR bad-request\n"
+            sock.sendall(b"x" * 3000 + f"\nVERIFY {sid} 3 {secret.block(3):02x}\n".encode())
+            assert replies.readline() == b"OK\n"
+            replies.close()
+    record = f"VERIFY {sid} 3 {scheme.wire(8, 3, secret.block(3)):04x} OK\n"
+    assert log.read_bytes() == logged + record.encode()
+    assert service.snapshot(sid)["attempts"] == 2
+    service.close()
+
+
 def test_failed_log_write_answers_unavailable_and_keeps_the_connection(tmp_path):
     """A log write that stores half its record and fails gets ERROR unavailable;
     the record is cut back, and the retry on the same connection succeeds."""

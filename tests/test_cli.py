@@ -170,8 +170,8 @@ def test_unusable_paths_exit_2_without_a_traceback(tmp_path, capsys, argv, messa
 
 
 def test_run_refuses_a_missing_out_directory_before_the_run(tmp_path, capsys, monkeypatch):
-    """A mistyped --out directory costs no run, and an existing --out file is
-    neither opened nor truncated by a refused run."""
+    """A mistyped --out directory, or a directory given as --out, costs no run,
+    and an existing --out file is neither opened nor truncated by a refused run."""
 
     def no_run(spec):
         raise AssertionError("the scenario ran")
@@ -181,6 +181,8 @@ def test_run_refuses_a_missing_out_directory_before_the_run(tmp_path, capsys, mo
     assert cli.main(["run", "voting", "--out", str(missing)]) == 2
     assert capsys.readouterr().err == f"[Errno 2] No such file or directory: '{missing}'\n"
     assert not missing.parent.exists()
+    assert cli.main(["run", "voting", "--k", "8", "--trials", "5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"[Errno 21] Is a directory: '{tmp_path}'\n"
 
     monkeypatch.undo()
     kept = tmp_path / "kept.csv"

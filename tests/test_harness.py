@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qtoken import harness, stats
+from qtoken import bank, harness, stats
 
 
 def run(scenario, **kwargs):
@@ -19,6 +19,22 @@ def test_honest_flow_small():
     assert result.all_passed()
     assert metric(result, "acceptance_rate").estimate == 1.0
     assert metric(result, "report_validity").estimate == 1.0
+
+
+def test_honest_flow_keeps_one_series_per_service(monkeypatch):
+    """Each trial's series lives in its own service, so a finished trial's
+    secret and ledger are freed and memory does not grow with the trials."""
+    largest = [0]
+
+    class Recording(bank.BankService):
+        def register_series(self, secret):
+            sid = super().register_series(secret)
+            largest[0] = max(largest[0], len(self.series_ids()))
+            return sid
+
+    monkeypatch.setattr(harness, "BankService", Recording)
+    assert run("honest-flow", trials=20, seed=1).all_passed()
+    assert largest == [1]
 
 
 def test_adversarial_history_small():
