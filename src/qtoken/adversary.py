@@ -18,9 +18,10 @@ catch the bank.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,35 +39,60 @@ FORGERS = {
 }
 
 
-def run_forgery(secret: SecretString, name: str, rng: np.random.Generator) -> tuple[int, int]:
-    """Play one round of the forger ``name`` in ``FORGERS``; returns (accepted, submitted).
+# Rounds per ``btest`` call. It bounds the (rounds, N) arrays at any trial count;
+# at k=16 larger batches ran no faster and took more memory.
+_BATCH_ROWS = 256
 
-    The forger measures its q honest tokens (via the emulated honest
-    sampler). A replay forger then resubmits those q pairs; every other
-    forger fills the series' attempt budget cap_test with guesses per its
-    policy. The whole batch runs through the bank's sequential verification,
-    and the round is a win when more reports are accepted than tokens were
+
+def run_forgery(
+    name: str, rounds: Iterable[tuple[SecretString, np.random.Generator]]
+) -> tuple[np.ndarray, int]:
+    """Play the forger ``name`` in ``FORGERS`` once per (secret, rng) round, all
+    at one k; returns (accepted per round, submitted in all).
+
+    In each round the forger measures its q honest tokens (via the emulated
+    honest sampler). A replay forger then resubmits those q pairs; every
+    other forger fills the series' attempt budget cap_test with guesses per
+    its policy. A round draws from its own generator as ``rounds`` yields it,
+    so a lazy ``rounds`` holds one secret at a time. Up to ``_BATCH_ROWS``
+    rounds then go through one ``btest``, each row a fresh ledger of its own
+    series; a round is a win when more reports are accepted than tokens were
     measured.
     """
     policy, q = FORGERS[name]
+    rounds = iter(rounds)
+    accepted, submitted = [np.zeros(0, dtype=np.int64)], 0
+    while True:
+        rows = []
+        for secret, rng in itertools.islice(rounds, _BATCH_ROWS):
+            indices, values = _submissions(secret, policy, q, rng)
+            rows.append((indices, values, secret.blocks(indices)))
+        if not rows:
+            return np.concatenate(accepted), submitted
+        indices, values, blocks = (np.stack(column) for column in zip(*rows))
+        # Every round is at one k, so the last round's secret sets it.
+        accepted.append(np.count_nonzero(btest(secret, indices, values, blocks), axis=1))
+        submitted += indices.size
+
+
+def _submissions(
+    secret: SecretString, policy: str, q: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round's submitted (indices, values): its q measured pairs first."""
     indices, values = report_emulated(secret, rng, q)
     if policy == "replay":
-        indices = np.concatenate([indices, indices])
-        values = np.concatenate([values, values])
-    else:
-        extra = SchemeParams.for_k(secret.k).cap_test - q
-        # Distinct uniform indices minus the (at most q) measured ones are
-        # uniform over the unmeasured indices, and at least ``extra`` remain.
-        fresh = rng.choice(1 << secret.k, extra + q, replace=False) + 1
-        fresh = fresh[~np.isin(fresh, indices)][:extra]
-        if policy == "uniform-fresh-index":
-            guesses = rng.integers(0, 1 << secret.k, size=extra, dtype=np.uint64)
-        else:  # block-collision: bet that another block repeats a seen value
-            guesses = values[np.arange(extra) % q]
-        indices = np.concatenate([indices, fresh])
-        values = np.concatenate([values, guesses])
-    accepted = int(np.count_nonzero(btest(secret, indices, values)))
-    return accepted, len(indices)
+        return np.concatenate([indices, indices]), np.concatenate([values, values])
+    extra = SchemeParams.for_k(secret.k).cap_test - q
+    # Distinct uniform indices minus the (at most q) measured ones are
+    # uniform over the unmeasured indices, and at least ``extra`` remain.
+    fresh = rng.choice(1 << secret.k, extra + q, replace=False) + 1
+    for index in indices:
+        fresh = fresh[fresh != index]
+    if policy == "uniform-fresh-index":
+        guesses = rng.integers(0, 1 << secret.k, size=extra, dtype=np.uint64)
+    else:  # block-collision: bet that another block repeats a seen value
+        guesses = values[np.arange(extra) % q]
+    return np.concatenate([indices, fresh[:extra]]), np.concatenate([values, guesses])
 
 
 def eval_forgery_bound(n_reports: int, q: int, y_size: int) -> float:

@@ -6,6 +6,7 @@ import argparse
 import errno
 import os
 import sys
+import time
 
 from . import harness, scheme, stats
 from .bank import BankServer, BankService, CorruptLogError
@@ -78,10 +79,12 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
     )
+    start = time.perf_counter()
     try:
         result = harness.run_scenario(spec)
     except ValueError as exc:
         return _refuse(exc)
+    elapsed = time.perf_counter() - start
     try:
         _write(result.to_csv(), args.out)
     except OSError as exc:
@@ -93,6 +96,11 @@ def _cmd_run(args) -> int:
         print(f"{status}  {m.metric}: estimate={float(m.estimate)!r} "
               f"expected={float(m.expected)!r} "
               f"({m.relation})", file=sys.stderr)
+    # Every row of a scenario has its trial count, except the inequality suite's
+    # fixed-size checks; the largest count stands for the run.
+    trials = max(m.trials for m in result.metrics)
+    print(f"{args.scenario}: {trials} trials in {elapsed:.3f} s, "
+          f"{trials / elapsed:.1f} trials/s", file=sys.stderr)
     return 0 if result.all_passed() else 1
 
 

@@ -236,12 +236,10 @@ def _run_forgery_scenario(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
         _, measured = adversary.FORGERS[name]
         # Each forger draws from its own streams, keyed by its table position.
         stream = list(adversary.FORGERS).index(name)
-        wins = 0
-        for t in range(trials):
-            rng = stats.spawn_rng(seed, stream, t)
-            secret = scheme.SecretString.random(k, rng)
-            accepted, _ = adversary.run_forgery(secret, name, rng)
-            wins += accepted > measured
+        rngs = (stats.spawn_rng(seed, stream, t) for t in range(trials))
+        rounds = ((scheme.SecretString.random(k, rng), rng) for rng in rngs)
+        accepted, _ = adversary.run_forgery(name, rounds)
+        wins = int(np.count_nonzero(accepted > measured))
         bound = adversary.eval_forgery_bound(params.cap_test, measured, 1 << k)
         metrics.append(
             _bound_metric(f"win_rate[{name}]", wins, trials, bound,

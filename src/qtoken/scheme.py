@@ -76,9 +76,13 @@ class SecretString:
     Block i (1-based) is the substring of the secret at bit offsets
     [k*(i-1), k*i). Hex serialization packs the blocks back into the flat
     bit string of k * 2^k bits.
+
+    The table is stored as words whose top bits are the blocks: block i is
+    word i shifted right by ``_shift``. A table drawn by ``random`` keeps the
+    generator's raw 32-bit words, so a read shifts only the words it touches.
     """
 
-    __slots__ = ("k", "series_id", "_blocks")
+    __slots__ = ("k", "series_id", "_words", "_shift")
 
     def __init__(self, k: int, blocks: Sequence[int] | np.ndarray, series_id: str = "s0"):
         if k < 1:
@@ -92,7 +96,8 @@ class SecretString:
             raise ValueError(f"block value out of range for k={k}")
         self.k = k
         self.series_id = series_id
-        self._blocks = arr.astype(np.uint64, copy=False)
+        self._words = arr.astype(np.uint64, copy=False)
+        self._shift = 0
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator, series_id: str = "s0") -> SecretString:
@@ -109,20 +114,31 @@ class SecretString:
         bitgen = rng.bit_generator
         if type(bitgen) is not np.random.PCG64 or k > 32 or bitgen.state["has_uint32"]:
             return cls(k, rng.integers(0, 1 << k, size=1 << k, dtype=np.uint64), series_id)
-        # Little-endian bytes put each output's low half first on any host.
-        words = bitgen.random_raw(1 << (k - 1)).astype("<u8", copy=False).view("<u4")
         # The shift bounds every block, so the constructor's range check is moot.
         secret = cls.__new__(cls)
         secret.k = k
         secret.series_id = series_id
-        secret._blocks = (words >> np.uint32(32 - k)).astype(np.uint64)
+        # Little-endian bytes put each output's low half first on any host.
+        secret._words = bitgen.random_raw(1 << (k - 1)).astype("<u8", copy=False).view("<u4")
+        secret._shift = 32 - k
         return secret
 
     def block(self, index: int) -> int:
         """Value of block ``index`` (1-based)."""
-        if not 1 <= index <= self._blocks.size:
+        if not 1 <= index <= self._words.size:
             raise ValueError(f"block index {index} out of range")
-        return int(self._blocks[index - 1])
+        return int(self._words[index - 1]) >> self._shift
+
+    def blocks(self, indices=None) -> np.ndarray:
+        """The ``uint64`` values of the blocks at the 1-based ``indices``, an
+        array of any shape, or the whole table when ``indices`` is None."""
+        words = self._words
+        if indices is not None:
+            idx = np.asarray(indices)
+            if idx.size and (idx.min() < 1 or idx.max() > words.size):
+                raise ValueError(f"block index out of range [1, {words.size}]")
+            words = words[idx - 1]
+        return (words >> self._shift).astype(np.uint64, copy=False)
 
     def to_hex(self) -> str:
         k = self.k
@@ -130,7 +146,7 @@ class SecretString:
             raise ValueError("secret bit length is not a multiple of 4")
         # Past k = 1 the bit length is whole bytes. Each block's big-endian
         # bytes, cut to its low k bits, are packed back to back.
-        raw = self._blocks.astype(">u4").view(np.uint8).reshape(-1, 4)
+        raw = self.blocks().astype(">u4").view(np.uint8).reshape(-1, 4)
         bits = np.unpackbits(raw[:, (32 - k) // 8:], axis=1)[:, (32 - k) % 8:]
         return np.packbits(bits).tobytes().hex()
 
@@ -225,8 +241,8 @@ def _token_layout(k: int) -> RegisterLayout:
 
 def token_wires(secret: SecretString) -> list[int]:
     """Wire forms of the series' 2^k valid pairs (i, block_i), in index order."""
-    indices = np.arange(1, secret._blocks.size + 1, dtype=np.uint64)
-    return wire(secret.k, indices, secret._blocks).tolist()
+    indices = np.arange(1, (1 << secret.k) + 1, dtype=np.uint64)
+    return wire(secret.k, indices, secret.blocks()).tolist()
 
 
 def token_state(secret: SecretString) -> SparseState:
@@ -270,34 +286,48 @@ def report_emulated(
     Returns the 1-based indices and their block values as two arrays.
     """
     indices = rng.integers(0, 1 << secret.k, size=count) + 1
-    return indices, secret._blocks[indices - 1]
+    return indices, secret.blocks(indices)
 
 
-def btest(secret: SecretString, indices, values) -> np.ndarray:
-    """Run a batch of (index, value) pairs through one fresh ledger at once.
+def btest(secret: SecretString, indices, values, blocks=None) -> np.ndarray:
+    """Run (index, value) pairs through fresh ledgers at once: one row, one ledger.
 
-    Returns one acceptance flag per position, as a sequential ``Ledger``
-    would decide them: a pair is accepted when its value is the block at its
-    index and it is the first submission of its wire form in the batch, since
-    every submission is spent whether or not it is accepted. The batch never
-    exceeds the attempt budget, so the budget needs no check per pair. An
-    index outside [1, 2^k] or a value outside [0, 2^k) raises ``ValueError``.
+    ``indices`` and ``values`` are 1-d for one ledger, a batch of one row, or
+    2-d with a fresh ledger per row. Returns one acceptance flag per position,
+    as a sequential ``Ledger`` would decide each row: a pair is accepted when
+    its value is the block at its index and it is the first submission of its
+    wire form in its row, since every submission is spent whether or not it is
+    accepted. ``blocks``, when given, holds the true block at each position,
+    so rows may come from different series of ``secret``'s k; otherwise every
+    row is checked against ``secret``.
+
+    A row never exceeds the attempt budget, so the budget needs no check per
+    pair. An index outside [1, 2^k] or a value outside [0, 2^k) raises
+    ``ValueError``.
     """
     k = secret.k
     cap = SchemeParams.for_k(k).cap_test
-    if len(indices) > cap:
-        raise ValueError(f"{len(indices)} reports exceed the attempt budget {cap}")
     idx = np.asarray(indices, dtype=np.int64)
     val = np.asarray(values, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape != val.shape:
-        raise ValueError("indices and values must be 1-d and of equal length")
+    if idx.ndim not in (1, 2) or idx.shape != val.shape:
+        raise ValueError("indices and values must be 1-d or 2-d and of equal shape")
+    if idx.shape[-1] > cap:
+        raise ValueError(f"{idx.shape[-1]} reports exceed the attempt budget {cap}")
     if idx.size == 0:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(idx.shape, dtype=bool)
     size = 1 << k
     if idx.min() < 1 or idx.max() > size:
         raise ValueError(f"block index out of range [1, {size}]")
     if val.min() < 0 or val.max() >= size:
         raise ValueError(f"report value out of range [0, {size})")
-    fresh = np.zeros(idx.size, dtype=bool)
-    fresh[np.unique(wire(k, idx, val), return_index=True)[1]] = True
-    return (secret._blocks[idx - 1] == val) & fresh
+    truth = secret.blocks(idx) if blocks is None else np.asarray(blocks)
+    if truth.shape != idx.shape:
+        raise ValueError("blocks must match the shape of indices")
+    # A stable sort per row puts each wire form's first submission first; no
+    # wire form is -1, so every row's first sorted pair counts as new.
+    rows = wire(k, idx, val).reshape(-1, idx.shape[-1])
+    order = np.argsort(rows, axis=1, kind="stable")
+    new = np.diff(np.take_along_axis(rows, order, axis=1), axis=1, prepend=-1) != 0
+    fresh = np.empty_like(new)
+    np.put_along_axis(fresh, order, new, axis=1)
+    return (truth.astype(np.int64, copy=False) == val) & fresh.reshape(idx.shape)

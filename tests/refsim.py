@@ -148,7 +148,7 @@ def paired_amplitudes(secret, perm) -> dict[int, float]:
 def secret_hex(secret) -> str:
     """A secret's hex form the original way: the blocks' k-bit binary strings
     joined, read as one integer, and printed as k * 2^k / 4 hex digits."""
-    bits = "".join(format(int(b), f"0{secret.k}b") for b in secret._blocks)
+    bits = "".join(format(int(b), f"0{secret.k}b") for b in secret.blocks())
     return format(int(bits, 2), f"0{len(bits) // 4}x")
 
 

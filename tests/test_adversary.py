@@ -1,5 +1,6 @@
 """Forger strategy and tracking-bank tests."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ def test_replay_never_wins():
     rng = rng_for(1)
     for _ in range(300):
         secret = scheme.SecretString.random(8, rng)
-        accepted, submitted = adversary.run_forgery(secret, "replay", rng)
+        (accepted,), submitted = adversary.run_forgery("replay", [(secret, rng)])
         assert submitted == 2
         assert accepted == 1  # the replayed copy is always rejected
 
@@ -72,7 +73,7 @@ def test_uniform_guess_win_rate_matches_exact_union():
     wins = 0
     for _ in range(trials):
         secret = scheme.SecretString.random(k, rng)
-        accepted, _ = adversary.run_forgery(secret, "uniform-guess", rng)
+        (accepted,), _ = adversary.run_forgery("uniform-guess", [(secret, rng)])
         wins += accepted > 0
     assert abs(wins / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
 
@@ -82,7 +83,7 @@ def test_measured_tokens_always_accepted():
     rng = rng_for(3)
     for _ in range(200):
         secret = scheme.SecretString.random(k, rng)
-        accepted, submitted = adversary.run_forgery(secret, "measure-and-guess-2", rng)
+        (accepted,), submitted = adversary.run_forgery("measure-and-guess-2", [(secret, rng)])
         assert submitted == 16  # cap_test at k=8
         # Measured pairs are valid; they can only collide with each other.
         assert accepted >= 1
@@ -97,7 +98,7 @@ def test_block_collision_policy_respects_bound():
     wins = 0
     for _ in range(trials):
         secret = scheme.SecretString.random(k, rng)
-        accepted, _ = adversary.run_forgery(secret, "block-collision", rng)
+        (accepted,), _ = adversary.run_forgery("block-collision", [(secret, rng)])
         wins += accepted > 1
     p_hat = wins / trials
     assert p_hat <= bound + 3 * math.sqrt(max(p_hat, 1 / trials) * (1 - p_hat) / trials)
@@ -112,7 +113,60 @@ def test_block_collision_guesses_use_distinct_unmeasured_indices(k):
     secret = scheme.SecretString(k, np.zeros(1 << k, dtype=np.uint64))
     rng = rng_for(5)
     for _ in range(20):
-        assert adversary.run_forgery(secret, "block-collision", rng) == (cap, cap)
+        accepted, submitted = adversary.run_forgery("block-collision", [(secret, rng)])
+        assert accepted.tolist() == [cap] and submitted == cap
+
+
+# sha256 of the comma-joined accepted count of every round, each forger on the
+# forgery scenario's streams (seed 3, its FORGERS position, trial), as the
+# one-round-at-a-time decision counted them. The scenario CSVs see only wins,
+# almost always 0 at k=16, so a stream shift that moves acceptances would pass
+# them unseen.
+ACCEPTED_DIGESTS = [
+    (8, 2000, "uniform-guess", "7b0fa881b47497564eda9ef8ca861d1ade37b482f1cdccd641c0af8daa09826f"),
+    (8, 2000, "measure-and-guess-1", "222664af0210c56bb2785cc62b5ee41d4a16744cb1640bd2a5631da782000673"),
+    (8, 2000, "measure-and-guess-2", "1d7b7dfee22a3dc21502f2312af5498bc64b6dc548cd67001d6aa9ef4713797d"),
+    (8, 2000, "replay", "c70bc2ed28e380d3a23bdf1b39b8ef2312a60f9f1473a6a6e6b7fb73952b5720"),
+    (8, 2000, "block-collision", "15440f7d6a00faf8c66ca5cccabf4e2694703c00e013bf452e9cbc915c672a0f"),
+    (16, 200, "uniform-guess", "9ba7852e1c9c113d6ea7b37986a7db9db75e4c7eca0c4396e5267d2e8c8b9c59"),
+    (16, 200, "measure-and-guess-1", "659978bcda6c3ae291057213bbaeacb4dcc6bc8dd4a5227090efcf531c2f437b"),
+    (16, 200, "measure-and-guess-2", "00e7c9efad71a41ac64f0c6c23304a2bab6ffed5afa364caba01bdbaef8152d1"),
+    (16, 200, "replay", "659978bcda6c3ae291057213bbaeacb4dcc6bc8dd4a5227090efcf531c2f437b"),
+    (16, 200, "block-collision", "2ce67c0db11c8e7cd3970bd0980bdd0beca690419735a971c33904d2eaa4eb2a"),
+]
+
+
+@pytest.mark.parametrize("k,trials,name,digest", ACCEPTED_DIGESTS)
+def test_forgery_keeps_its_accepted_count_per_round(k, trials, name, digest):
+    stream = list(adversary.FORGERS).index(name)
+    rngs = (stats.spawn_rng(3, stream, t) for t in range(trials))
+    rounds = ((scheme.SecretString.random(k, rng), rng) for rng in rngs)
+    accepted, _ = adversary.run_forgery(name, rounds)
+    text = ",".join(map(str, accepted.tolist()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_forgery_batches_decide_as_rounds_of_one(monkeypatch):
+    """Rounds past the batch size go through ``btest`` in batches of at most
+    ``_BATCH_ROWS`` rows, and each round is decided as it is alone."""
+    batch, k = adversary._BATCH_ROWS, 4
+    count = 2 * batch + 3
+    rows = []
+
+    def counting_btest(secret, indices, values, blocks=None):
+        rows.append(len(indices))
+        return scheme.btest(secret, indices, values, blocks)
+
+    monkeypatch.setattr(adversary, "btest", counting_btest)
+    rng = rng_for(9)
+    rounds = ((scheme.SecretString.random(k, rng), rng) for _ in range(count))
+    accepted, submitted = adversary.run_forgery("measure-and-guess-1", rounds)
+    assert rows == [batch, batch, 3]
+    assert submitted == count * scheme.SchemeParams.for_k(k).cap_test
+    rng = rng_for(9)
+    alone = [adversary.run_forgery("measure-and-guess-1", [(scheme.SecretString.random(k, rng), rng)])[0]
+             for _ in range(count)]
+    assert accepted.tolist() == np.concatenate(alone).tolist()
 
 
 # -- tracking banks ----------------------------------------------------------------

@@ -91,6 +91,20 @@ def test_verify_bad_value():
     assert (decision.status, decision.reason) == ("REJECT", "bad-value")
 
 
+def test_decisions_read_single_blocks_and_never_the_whole_table(monkeypatch):
+    """A request reads the blocks it needs; building the 2^k table is for
+    registration (the hex record) only."""
+    service, secret, sid = fresh_service(k=16, seed=7)
+
+    def no_table(self, indices=None):
+        raise AssertionError("a request built block values in bulk")
+
+    monkeypatch.setattr(scheme.SecretString, "blocks", no_table)
+    assert service.handle_line(f"VERIFY {sid} 9 {secret.block(9):04x}") == "OK"
+    assert service.handle_line(f"VERIFY {sid} 9 {secret.block(9):04x}").startswith("REJECT")
+    assert service.handle_line(f"DECODE {sid} 10 0") == f"OK {secret.block(10):04x}"
+
+
 def test_verify_unknown_series():
     service, secret, _ = fresh_service()
     decision = service.handle("VERIFY", "nope", *valid_report(secret))

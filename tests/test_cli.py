@@ -1,8 +1,10 @@
 """Command-line interface tests."""
 
+import re
+
 import pytest
 
-from qtoken import bank, cli
+from qtoken import bank, cli, harness
 
 
 def test_bounds_command(capsys):
@@ -39,6 +41,18 @@ def test_run_command_stdout(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "roundtrip_identity" in out
+
+
+def test_run_reports_its_timing_on_stderr_only(capsys):
+    """The last stderr line gives the run's elapsed seconds and trials/s;
+    stdout is the scenario's CSV byte for byte."""
+    code = cli.main(["run", "forgery", "--k", "8", "--trials", "50", "--seed", "1"])
+    assert code == 0
+    captured = capsys.readouterr()
+    spec = harness.ScenarioSpec("forgery", k=8, trials=50, seed=1)
+    assert captured.out == harness.run_scenario(spec).to_csv()
+    last = captured.err.splitlines()[-1]
+    assert re.fullmatch(r"forgery: 50 trials in \d+\.\d{3} s, \d+\.\d trials/s", last), last
 
 
 def test_mint_then_recover_log(tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_secret_block_extraction_matches_bit_slicing():
 def test_secret_hex_roundtrip():
     secret = scheme.SecretString.random(4, rng_for(2), "abc")
     back = scheme.SecretString.from_hex(4, secret.to_hex(), "abc")
-    assert np.array_equal(back._blocks, secret._blocks) and back.series_id == "abc"
+    assert np.array_equal(back.blocks(), secret.blocks()) and back.series_id == "abc"
 
 
 def test_secret_hex_roundtrip_at_k20():
@@ -60,7 +60,7 @@ def test_secret_hex_roundtrip_at_k20():
     assert text == refsim.secret_hex(secret)
     assert text[:5] == format(secret.block(1), "05x")
     back = scheme.SecretString.from_hex(20, text, "big")
-    assert np.array_equal(back._blocks, secret._blocks)
+    assert np.array_equal(back.blocks(), secret.blocks())
 
 
 def test_secret_hex_length_and_width_checks():
@@ -68,7 +68,7 @@ def test_secret_hex_length_and_width_checks():
         scheme.SecretString.from_hex(8, "abc")
     with pytest.raises(ValueError):
         scheme.SecretString(1, [1, 0]).to_hex()  # 2 bits fill no hex digit
-    assert scheme.SecretString.from_hex(2, "0f")._blocks.tolist() == [0, 0, 3, 3]
+    assert scheme.SecretString.from_hex(2, "0f").blocks().tolist() == [0, 0, 3, 3]
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_secret_hex_refuses_non_hex_digits(text):
 
 
 def test_secret_hex_takes_both_cases():
-    assert scheme.SecretString.from_hex(4, "0123456789ABCDEF")._blocks.tolist() == list(range(16))
+    assert scheme.SecretString.from_hex(4, "0123456789ABCDEF").blocks().tolist() == list(range(16))
 
 
 @pytest.mark.parametrize(
@@ -115,8 +115,8 @@ def test_secret_draw_is_the_integers_table(k):
                     g.integers(0, 2**32, dtype=np.uint32)
             secret = scheme.SecretString.random(k, rng)
             want = ref.integers(0, 1 << k, size=1 << k, dtype=np.uint64)
-            assert secret._blocks.dtype == np.uint64
-            assert np.array_equal(secret._blocks, want)
+            assert secret.blocks().dtype == np.uint64
+            assert np.array_equal(secret.blocks(), want)
             assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
             assert rng.random() == ref.random()
 
@@ -130,7 +130,7 @@ def test_secret_is_exactly_a_2k_block_table(k, seed):
     secret = scheme.SecretString.random(k, rng)
     text = secret.to_hex()
     assert text == refsim.secret_hex(secret)
-    assert np.array_equal(scheme.SecretString.from_hex(k, text)._blocks, secret._blocks)
+    assert np.array_equal(scheme.SecretString.from_hex(k, text).blocks(), secret.blocks())
     for count in (2**k - 1, 2**k + 1):
         with pytest.raises(ValueError):
             scheme.SecretString(k, rng.integers(0, 1 << k, size=count, dtype=np.uint64))
@@ -358,6 +358,74 @@ def test_btest_decides_like_a_sequential_ledger(k, seed, draws, bad):
     want = [ledger.verify(i, v) is None for i, v in zip(indices, values)]
     got = scheme.btest(secret, np.array(indices), np.array(values, dtype=np.uint64))
     assert got.dtype == bool and got.tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.sampled_from([4, 8]), seed=st.integers(0, 2**32 - 1), shared=st.booleans(),
+       data=st.data())
+def test_2d_btest_decides_each_row_like_its_own_sequential_ledger(k, seed, shared, data):
+    """Each row of a 2-d ``btest`` is decided as a fresh ``Ledger.verify``
+    would decide it, and as the 1-d call on that row alone. Rows hold repeated
+    pairs, wrong values and repeated indices; they check either one shared
+    secret or, through ``blocks``, a secret of their own."""
+    cap = scheme.SchemeParams.for_k(k).cap_test
+    size = 1 << k
+    width = data.draw(st.integers(0, cap))
+    draw = st.tuples(st.integers(1, 6), st.booleans(), st.integers(1, 2**8))
+    draws = data.draw(st.lists(st.lists(draw, min_size=width, max_size=width),
+                               min_size=1, max_size=5))
+    rng = rng_for(seed)
+    first = scheme.SecretString.random(k, rng)
+    secrets = [first if shared or r == 0 else scheme.SecretString.random(k, rng)
+               for r in range(len(draws))]
+    indices, values, want = [], [], []
+    for secret, row in zip(secrets, draws):
+        ledger = scheme.Ledger(secret, cap)
+        idx = [1 + (pool_index * 37) % size for pool_index, _, _ in row]
+        val = [secret.block(i) ^ (0 if honest else noise % size or 1)
+               for i, (_, honest, noise) in zip(idx, row)]
+        want.append([ledger.verify(i, v) is None for i, v in zip(idx, val)])
+        indices.append(idx)
+        values.append(val)
+    indices = np.array(indices, dtype=np.int64).reshape(len(draws), width)
+    values = np.array(values, dtype=np.uint64).reshape(len(draws), width)
+    blocks = None if shared else np.stack([s.blocks(i) for s, i in zip(secrets, indices)])
+    got = scheme.btest(first, indices, values, blocks)
+    assert got.dtype == bool and got.shape == indices.shape and got.tolist() == want
+    for secret, idx, val, row in zip(secrets, indices, values, got):
+        assert scheme.btest(secret, idx, val).tolist() == row.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([4, 8]), rows=st.integers(1, 4), data=st.data(),
+       fault=st.sampled_from(["index 0", "index 2^k+1", "value -1", "value 2^k", "shape",
+                              "budget"]))
+def test_2d_btest_refuses_what_the_1d_call_refuses(k, rows, data, fault):
+    """A bad index, value, shape or budget in any row raises the ``ValueError``
+    that the 1-d call on that row raises."""
+    secret = scheme.SecretString.random(k, rng_for(k))
+    cap = scheme.SchemeParams.for_k(k).cap_test
+    size = 1 << k
+    width = cap + 1 if fault == "budget" else cap
+    indices = rng_for(rows).integers(1, size + 1, size=(rows, width))
+    values = secret.blocks(indices).astype(np.int64)
+    row = data.draw(st.integers(0, rows - 1))
+    col = data.draw(st.integers(0, width - 1))
+    if fault == "index 0":
+        indices[row, col] = 0
+    elif fault == "index 2^k+1":
+        indices[row, col] = size + 1
+    elif fault == "value -1":
+        values[row, col] = -1
+    elif fault == "value 2^k":
+        values[row, col] = size
+    elif fault == "shape":
+        values = values[:, :-1]
+    with pytest.raises(ValueError) as alone:
+        scheme.btest(secret, indices[row], values[row])
+    with pytest.raises(ValueError) as batched:
+        scheme.btest(secret, indices, values)
+    assert str(batched.value) == str(alone.value)
 
 
 def test_monotone_rejection():
