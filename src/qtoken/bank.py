@@ -9,9 +9,10 @@ anything again.
 Every request goes through ``BankService.handle``, and the append-only log
 follows one rule: a request is logged if and only if its decision changes
 state. The record is written (and fsynced if ``sync``) before the change is
-applied and before the response leaves the service. A decision that changes
-nothing (an unknown series, a field out of range, ``budget-exhausted``,
-``reused-pad``, ``double-vote``) is answered without a record. That is safe:
+applied and before the response leaves the service, and a log the service
+creates has its directory fsynced first. A decision that changes nothing (an
+unknown series, a field out of range, ``budget-exhausted``, ``reused-pad``,
+``double-vote``) is answered without a record. That is safe:
 such an answer reads only state that was applied after its own record was
 written, so replaying the log rebuilds everything it depended on. A log write
 that fails is cut back and answered ``ERROR unavailable``, with nothing
@@ -62,6 +63,27 @@ _PAD_REJECTIONS = {"DECODE": "reused-pad", "VOTE": "double-vote"}
 _MAX_LINE = 4096  # bytes in a request line, its newline not counted
 
 
+def _open_log(path: str, sync: bool):
+    """Open the log for unbuffered append; if ``sync``, a log this call
+    creates has its directory fsynced before it is returned."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
+    except FileExistsError:
+        return open(path, "ab", buffering=0)
+    log = open(fd, "ab", buffering=0)
+    if sync:
+        try:
+            dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except OSError:
+            log.close()
+            raise
+    return log
+
+
 class CorruptLogError(RuntimeError):
     """Raised when recovery cannot trust the log; carries the bad offset."""
 
@@ -106,7 +128,8 @@ class BankService:
         self._lock = threading.Lock()
         self._series: dict[str, SeriesRecord] = {}
         self._sync = sync
-        self._log = open(log_path, "ab", buffering=0) if log_path else None
+        self._log = _open_log(log_path, sync) if log_path else None
+        self.replayed = 0  # log records replayed by ``recover``
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -128,8 +151,9 @@ class BankService:
                         os.truncate(log_path, offset)
                         break
                     service._replay(raw, line_no, offset)
+                    service.replayed = line_no
                     offset += len(raw)
-        service._log = open(log_path, "ab", buffering=0)
+        service._log = _open_log(log_path, sync)
         return service
 
     def close(self) -> None:

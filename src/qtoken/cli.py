@@ -123,16 +123,19 @@ def _recover(log: str) -> BankService | None:
 
 
 def _cmd_serve(args) -> int:
+    start = time.perf_counter()
     service = _recover(args.log)
     if service is None:
         return 2
+    elapsed = time.perf_counter() - start
     try:
         server = BankServer(service, args.socket)
     except (ValueError, OSError) as exc:
         service.close()
         return _refuse(f"cannot listen on {args.socket}: {exc}")
     known = service.series_ids()
-    print(f"recovered {len(known)} series from {args.log}", file=sys.stderr)
+    print(f"recovered {len(known)} series from {args.log} "
+          f"({service.replayed} records replayed in {elapsed:.3f} s)", file=sys.stderr)
     print(f"listening on {server.address}", file=sys.stderr)
     try:
         server.serve_forever()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 NORMAL_INTERVAL_MIN_TRIALS = 10_000
 SIGMAS = 3.0
@@ -64,7 +63,10 @@ def matches_rate(successes: int, trials: int, expected: float) -> bool:
 
 
 def chi2_critical(dof: int) -> float:
-    return float(_scipy_stats.chi2.ppf(1.0 - SIGNIFICANCE, dof))
+    # scipy.stats.chi2.ppf's formula; imported on first use, as scipy slows every start-up
+    from scipy.special import gammaincinv
+
+    return float(2 * gammaincinv(dof / 2, 1.0 - SIGNIFICANCE))
 
 
 def uniformity_passes(counts) -> tuple[float, float, bool]:

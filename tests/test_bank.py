@@ -445,6 +445,45 @@ def test_recovery_restores_full_state(tmp_path):
     recovered.close()
 
 
+def trace_opens_and_fsyncs(monkeypatch):
+    """Record every ``os.open`` and ``os.fsync`` as ("open" | "fsync", path), in order."""
+    events, paths = [], {}
+    real_open, real_fsync = os.open, os.fsync
+
+    def traced_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        paths[fd] = os.fspath(path)
+        events.append(("open", paths[fd]))
+        return fd
+
+    def traced_fsync(fd):
+        events.append(("fsync", paths.get(fd)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "open", traced_open)
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    return events
+
+
+@pytest.mark.parametrize("make", [bank.BankService, bank.BankService.recover],
+                         ids=["init", "recover"])
+def test_a_created_log_has_its_directory_fsynced_before_any_record(tmp_path, monkeypatch, make):
+    """A crash cannot lose the directory entry of a log whose first record was
+    acknowledged; reopening an existing log, or not syncing, adds no fsync."""
+    log = str(tmp_path / "bank.log")
+    events = trace_opens_and_fsyncs(monkeypatch)
+    service = make(log)
+    service.register_series(scheme.SecretString.random(4, rng_for(0), "s1"))
+    service.close()
+    assert events == [("open", log), ("open", str(tmp_path)),
+                      ("fsync", str(tmp_path)), ("fsync", log)]
+
+    events.clear()
+    make(log).close()
+    make(str(tmp_path / "unsynced.log"), sync=False).close()
+    assert [event for event in events if event[0] == "fsync"] == []
+
+
 def test_interrupted_run_decisions_match_uninterrupted(tmp_path):
     """The same request stream produces identical decisions whether or not the
     service crashed and recovered halfway through."""

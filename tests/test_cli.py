@@ -1,6 +1,10 @@
 """Command-line interface tests."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +216,32 @@ def test_serve_refuses_a_tcp_port_out_of_range(tmp_path, capsys, port):
     assert capsys.readouterr().err == (
         f"cannot listen on {address}: TCP port {port} is outside 0-65535\n"
     )
+
+
+def test_serve_reports_what_recovery_replayed_before_listening(tmp_path, capsys):
+    """The recovery line gives the series, the records replayed and the seconds
+    recovery took; ``listening on`` stays the last start-up line."""
+    log = tmp_path / "bank.log"
+    assert cli.main(["mint", "--log", str(log), "--k", "4", "--series", "a"]) == 0
+    assert cli.main(["mint", "--log", str(log), "--k", "4", "--series", "b"]) == 0
+    sample = [l for l in capsys.readouterr().out.splitlines() if l.startswith("VERIFY b ")]
+    service = bank.BankService.recover(str(log))
+    assert service.handle_line(sample[0]) == "OK"
+    service.close()
+
+    sock = tmp_path / "bank.sock"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    server = subprocess.Popen(
+        [sys.executable, "-m", "qtoken.cli", "serve", "--log", str(log), "--socket", str(sock)],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        err = [server.stderr.readline().rstrip("\n") for _ in range(2)]
+    finally:
+        server.kill()
+        server.communicate(timeout=30)
+    assert re.fullmatch(
+        rf"recovered 2 series from {re.escape(str(log))} "
+        r"\(3 records replayed in \d+\.\d{3} s\)", err[0]), err[0]
+    assert err[1] == f"listening on {sock}"
