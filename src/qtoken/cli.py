@@ -79,6 +79,7 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
     )
+    harness.load_scipy_stats()  # a one-off import, not part of the run's time
     start = time.perf_counter()
     try:
         result = harness.run_scenario(spec)

@@ -151,9 +151,22 @@ def _resolve(spec: ScenarioSpec) -> ScenarioSpec:
     return replace(spec, k=k, trials=trials)
 
 
+def load_scipy_stats() -> None:
+    """Load scipy.stats before a scenario or the suite runs.
+
+    No check here needs it, but perfbench's row check imports it into the same
+    process when a sampled row misses its 3-sigma bound by chance. Loaded up
+    front, a scenario process has one footprint whether a row missed or not.
+    Entry points that run no scenario (import, mint, bounds, serve) stay
+    scipy-free.
+    """
+    import scipy.stats  # noqa: F401
+
+
 def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
     """Execute a scenario end to end; deterministic in the spec's seed."""
     spec = _resolve(spec)
+    load_scipy_stats()
     return ExperimentResult(spec.scenario, spec.k, spec.seed, _SCENARIOS[spec.scenario][0](spec))
 
 
@@ -508,6 +521,7 @@ def pattern_chain_sampled(seed: int, trials: int) -> tuple[int, int]:
 
 def run_inequality_suite(seed: int = 0, sizes: SuiteSizes | None = None) -> ExperimentResult:
     """Run every exact-arithmetic inequality check plus the sampled chain test."""
+    load_scipy_stats()
     sizes = sizes or SuiteSizes()
     rng = stats.spawn_rng(seed, 100)
     chain_v, diff_v = projection_checks(rng, sizes.projection)

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 import scipy.stats
 
 from qtoken import stats
@@ -20,9 +21,13 @@ def test_chi2_critical_is_scipy_chi2_ppf_bit_for_bit():
         assert stats.chi2_critical(dof) == float(scipy.stats.chi2.ppf(0.999, dof)), dof
 
 
-def test_entry_points_load_scipy_only_to_decide_a_chi_squared_row(tmp_path):
-    """Importing the package, forgery, the inequality suite and a logged bank
-    load no scipy module; tracking-audit loads scipy.special and not scipy.stats."""
+@pytest.mark.parametrize("run", [
+    'harness.run_scenario(harness.ScenarioSpec("forgery", k=8, trials=5, seed=1))',
+    "harness.run_inequality_suite(1, harness.SuiteSizes(5, 5, 5, 5, 5, 5))",
+])
+def test_only_a_scenario_run_loads_scipy(tmp_path, run):
+    """Importing the package and the CLI, the bounds table and a logged bank load
+    no scipy module; a scenario or suite run loads scipy.stats before it starts."""
     code = textwrap.dedent(f"""
         import sys
         import qtoken, qtoken.cli
@@ -31,8 +36,7 @@ def test_entry_points_load_scipy_only_to_decide_a_chi_squared_row(tmp_path):
         def scipy_modules():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-        harness.run_scenario(harness.ScenarioSpec("forgery", k=8, trials=5, seed=1))
-        harness.run_scenario(harness.ScenarioSpec("inequality-suite", trials=5, seed=1))
+        harness.bounds_csv(8)
         log = {str(tmp_path / "bank.log")!r}
         service = bank.BankService(log)
         service.register_series(scheme.SecretString.random(8, stats.spawn_rng(1), "s1"))
@@ -40,9 +44,8 @@ def test_entry_points_load_scipy_only_to_decide_a_chi_squared_row(tmp_path):
         assert bank.BankService.recover(log).series_ids() == ["s1"]
         assert scipy_modules() == [], scipy_modules()
 
-        harness.run_scenario(harness.ScenarioSpec("tracking-audit", k=4, trials=5, seed=1))
-        assert "scipy.special" in sys.modules, scipy_modules()
-        assert "scipy.stats" not in sys.modules, scipy_modules()
+        {run}
+        assert "scipy.stats" in sys.modules, scipy_modules()
     """)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
