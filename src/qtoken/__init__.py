@@ -30,7 +30,7 @@ from .scheme import (
     report_emulated,
     token_state,
 )
-from .audit import AuditOutcome, anonymity_gap, report_chain, report_prime
+from .audit import anonymity_gap, report_chain, report_prime
 from .adversary import (
     eval_all_correct_bound,
     eval_forgery_bound,

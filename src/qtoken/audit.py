@@ -32,42 +32,27 @@ from .core import (
 from .scheme import unwire
 
 
-class AuditOutcome(NamedTuple):
-    """The audited token's (index, value) report, or None for a detected cheat.
-
-    ``post_state`` is the full joint state after the audit, so the surviving
-    pattern register can be reused for the next transaction.
-    """
-
-    report: tuple[int, int] | None
-    post_state: SparseState
-
-    @property
-    def cheat_detected(self) -> bool:
-        return self.report is None
-
-
 def report_prime(
     joint: SparseState,
     layout: RegisterLayout,
     pattern: str,
     token: str,
     rng: np.random.Generator,
-) -> AuditOutcome:
+) -> tuple[int, int] | None:
     """Swap-test the token against the pattern, then measure it if clean.
 
-    Swap outcome 1 aborts with a detected cheat. Outcome 0 leaves the pattern
-    register intact for reuse; the token register is then measured in the
-    computational basis and parsed into a report.
+    A fired swap test aborts with a detected cheat and returns None. A passed
+    one leaves the pattern register intact; the token register is then
+    measured in the computational basis and parsed into an (index, value)
+    report.
     """
     width = layout.width(token)
     if width % 2 != 0:
         raise ValueError("token register width must be even")
-    bit, state = swap_test(joint, layout, pattern, token, rng)
-    if bit == 1:
-        return AuditOutcome(None, state)
-    wire, post = measure_register(state, layout, token, rng)
-    return AuditOutcome(unwire(width // 2, wire), post)
+    state = swap_test(joint, layout, pattern, token, rng)
+    if state is None:
+        return None
+    return unwire(width // 2, measure_register(state, layout, token, rng))
 
 
 def _chain_registers(layout: RegisterLayout) -> tuple[str, tuple[str, ...]]:
@@ -87,20 +72,20 @@ def report_chain(
     joint: SparseState,
     layout: RegisterLayout,
     rng: np.random.Generator,
-) -> AuditOutcome:
+) -> tuple[int, int] | None:
     """Audit a pattern against every token register, then report the first.
 
     The layout's first register is the pattern; the remaining registers are
     the tokens, all of the pattern's width. Swap tests run against the last
     token first and walk down to the second; the first detected mismatch
-    aborts. If all pass, the first token goes through ``report_prime``.
+    aborts with None. If all pass, the first token goes through ``report_prime``.
     """
     pattern, tokens = _chain_registers(layout)
     state = joint
     for tok in reversed(tokens[1:]):
-        bit, state = swap_test(state, layout, pattern, tok, rng)
-        if bit == 1:
-            return AuditOutcome(None, state)
+        state = swap_test(state, layout, pattern, tok, rng)
+        if state is None:
+            return None
     return report_prime(state, layout, pattern, tokens[0], rng)
 
 
@@ -112,7 +97,7 @@ def cheat_probability(
 
 
 def chain_cheat_probability(joint: SparseState, layout: RegisterLayout) -> float:
-    """Exact abort probability of the chained audit, via exact post-states."""
+    """Exact abort probability of the chained audit, via exact pass post-states."""
     pattern, tokens = _chain_registers(layout)
     total = 0.0
     reach = 1.0
@@ -123,7 +108,7 @@ def chain_cheat_probability(joint: SparseState, layout: RegisterLayout) -> float
         pass_mass = reach * (1.0 - p1)
         if pass_mass < 1e-15:
             break
-        state = swap_project(state, layout, pattern, tok, 0)
+        state = swap_project(state, layout, pattern, tok)
         reach *= 1.0 - p1
     return min(total, 1.0)
 

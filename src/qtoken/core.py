@@ -18,13 +18,12 @@ Conventions:
 Because a state never changes, whatever is computed from it alone stays
 true for as long as the state lives, so each state keeps a small memo of the
 results that sampling reads again and again: the swap-test split of a
-register pair (outcome-1 probability and the two post-states) and the
-outcome marginal of a register (values, running probability sums and one
-post-state per outcome). Entries are keyed by the register fields (shifts
-and mask), never by a layout's identity, and post-states are built the first
-time they are returned, from the outcome's amplitudes that the marginal walk
-set aside. The tracking audit samples the same two joint states
-in every trial, so after the first trial each sample costs one draw and a
+register pair (outcome-1 probability and the symmetric post-state) and the
+outcome marginal of a register (values and running probability sums).
+Entries are keyed by the register fields (shifts and mask), never by a
+layout's identity, and the symmetric post-state is normalised the first time
+it is returned. The tracking audit samples the same two joint states in
+every trial, so after the first trial each sample costs one draw and a
 lookup. A sample reads the generator exactly as an uncached walk does and
 returns the same outcome and post-state amplitudes. Two threads filling the
 same entry compute the same value, so the race is benign. The sampled swap
@@ -34,9 +33,12 @@ memoised split, so a state's register pair is walked once.
 The swap test is implemented as what it is mathematically: a two-outcome
 projective measurement onto the symmetric subspace (outcome 0, projector
 (I + SWAP)/2) and the antisymmetric subspace (outcome 1, (I - SWAP)/2) of a
-pair of equal-width registers. Exact outcome probabilities and exact
-post-measurement states are available alongside the sampling form, because
-the inequality suites need 1e-9 precision that sampling cannot deliver.
+pair of equal-width registers. Only a passed test leaves a state that the
+protocol keeps (the pattern token of an audit); a fired test and a register
+measurement end the flow, so they return no post-state. Exact outcome
+probabilities and the exact symmetric projection are available alongside
+the sampling form, because the inequality suites need 1e-9 precision that
+sampling cannot deliver.
 """
 
 from __future__ import annotations
@@ -216,25 +218,17 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     return SparseState(a.num_qubits + b.num_qubits, amps)
 
 
-def _marginal(
-    state: SparseState, shift: int, mask: int
-) -> tuple[list[int], list[float], float, list]:
+def _marginal(state: SparseState, shift: int, mask: int) -> tuple[list[int], list[float], float]:
     """One register field's outcome values in first-seen order, their running
-    probability sums, the total probability, and per value the bucket of its
-    amplitudes in state order, which its post-state replaces once built."""
+    probability sums and the total probability."""
     weights: dict[int, float] = {}
-    buckets: dict[int, dict[int, complex]] = {}
     for idx, amp in state.amplitudes.items():
         val = (idx >> shift) & mask
-        bucket = buckets.get(val)
-        if bucket is None:
-            buckets[val] = {idx: amp}
-            weights[val] = abs(amp) ** 2
-        else:
-            bucket[idx] = amp
+        if val in weights:
             weights[val] += abs(amp) ** 2
-    values = list(weights)
-    return values, list(accumulate(weights.values())), sum(weights.values()), list(buckets.values())
+        else:
+            weights[val] = abs(amp) ** 2
+    return list(weights), list(accumulate(weights.values())), sum(weights.values())
 
 
 def measure_register(
@@ -242,30 +236,18 @@ def measure_register(
     layout: RegisterLayout,
     reg: str,
     rng: np.random.Generator,
-) -> tuple[int, SparseState]:
-    """Computational-basis measurement of one register.
-
-    Returns the outcome as the register's integer value plus the
-    renormalized conditional state (measured register collapsed, everything
-    else untouched).
-    """
+) -> int:
+    """Computational-basis measurement of one register: its integer value."""
     if layout.num_qubits != state.num_qubits:
         raise ValueError("layout width does not match state width")
     shift = layout.shift(reg)
     mask = layout.mask(reg)
-    values, accs, total, posts = _memoized(
+    values, accs, total = _memoized(
         state, ("reg", shift, mask), lambda: _marginal(state, shift, mask)
     )
     # The first value whose running sum exceeds the draw; rounding can leave
     # the draw at or above the last sum, and then the last value is taken.
-    pick = min(bisect_right(accs, rng.random() * total), len(values) - 1)
-    post = posts[pick]
-    if isinstance(post, dict):
-        norm_sq = 0.0
-        for amp in post.values():
-            norm_sq += amp.real * amp.real + amp.imag * amp.imag
-        post = posts[pick] = _normalized_state(state.num_qubits, post, norm_sq)
-    return values[pick], post
+    return values[min(bisect_right(accs, rng.random() * total), len(values) - 1)]
 
 
 def _swap_fields(layout: RegisterLayout, reg_a: str, reg_b: str) -> tuple[int, int, int]:
@@ -278,7 +260,7 @@ def _swap_fields(layout: RegisterLayout, reg_a: str, reg_b: str) -> tuple[int, i
 
 
 def _swap_parts(state: SparseState, sa: int, sb: int, mask: int) -> list:
-    """[||minus||^2, plus, minus] for the components (v +/- SWAP v)/2.
+    """[||minus||^2, plus] for the components plus/minus = (v +/- SWAP v)/2.
 
     Walks each orbit of the swap permutation, which exchanges the two
     register fields of an index, once: fixed points go straight to the
@@ -286,7 +268,6 @@ def _swap_parts(state: SparseState, sa: int, sb: int, mask: int) -> list:
     """
     amps = state.amplitudes
     plus: dict[int, complex] = {}
-    minus: dict[int, complex] = {}
     p1 = 0.0
     for idx, v in amps.items():
         flip = ((idx >> sa) ^ (idx >> sb)) & mask
@@ -307,10 +288,8 @@ def _swap_parts(state: SparseState, sa: int, sb: int, mask: int) -> list:
             plus[idx] = s
             plus[j] = s
         if d.real or d.imag:
-            minus[idx] = d
-            minus[j] = -d
             p1 += 2.0 * (d.real * d.real + d.imag * d.imag)
-    return [min(max(p1, 0.0), 1.0), plus, minus]
+    return [min(max(p1, 0.0), 1.0), plus]
 
 
 def _split(state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str) -> list:
@@ -321,14 +300,11 @@ def _split(state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str) -
     return _memoized(state, ("swap", *fields), lambda: _swap_parts(state, *fields))
 
 
-def _swap_post(state: SparseState, split: list, outcome: int) -> SparseState:
-    """Post-state of ``outcome``; its part of ``split`` is normalised once and kept."""
-    part = split[1 + outcome]
+def _swap_pass(state: SparseState, split: list) -> SparseState:
+    """The symmetric post-state of ``split``, normalised once and kept."""
+    part = split[1]
     if isinstance(part, dict):
-        p1 = split[0]
-        part = split[1 + outcome] = _normalized_state(
-            state.num_qubits, part, p1 if outcome else 1.0 - p1
-        )
+        part = split[1] = _normalized_state(state.num_qubits, part, 1.0 - split[0])
     return part
 
 
@@ -345,35 +321,27 @@ def swap_test(
     reg_a: str,
     reg_b: str,
     rng: np.random.Generator,
-) -> tuple[int, SparseState]:
+) -> SparseState | None:
     """Projective swap test between two registers of a joint state.
 
-    Returns the measured bit plus the renormalized post state. Outcome 0
-    projects onto the symmetric subspace of the register pair with
-    probability ||(v + SWAP v)/2||^2, outcome 1 onto the antisymmetric one.
+    Fires (outcome 1, the antisymmetric subspace) with probability
+    ||(v - SWAP v)/2||^2 and then returns None. Otherwise the test passes and
+    returns the renormalized projection onto the symmetric subspace.
     """
     split = _split(state, layout, reg_a, reg_b)
-    outcome = 1 if rng.random() < split[0] else 0
-    return outcome, _swap_post(state, split, outcome)
+    if rng.random() < split[0]:
+        return None
+    return _swap_pass(state, split)
 
 
 def swap_project(
-    state: SparseState,
-    layout: RegisterLayout,
-    reg_a: str,
-    reg_b: str,
-    outcome: int,
+    state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str
 ) -> SparseState:
-    """Exact post-measurement state of the swap test for a forced outcome."""
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
+    """Exact post-measurement state of a passed swap test."""
     split = _split(state, layout, reg_a, reg_b)
-    if outcome == 1:
-        if split[0] < 1e-15:
-            raise ValueError("antisymmetric component has (near) zero weight")
-    elif 1.0 - split[0] < 1e-15:
+    if 1.0 - split[0] < 1e-15:
         raise ValueError("symmetric component has (near) zero weight")
-    return _swap_post(state, split, outcome)
+    return _swap_pass(state, split)
 
 
 def reduced_density(

@@ -302,15 +302,13 @@ def _run_tracking_audit(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     for t in range(trials):
         rng = stats.spawn_rng(seed, 1, t)
         for i, (joint, joint_layout, spent) in enumerate(joints):
-            out = audit.report_prime(joint, joint_layout, "pattern", spent, rng)
-            detected[i] += out.cheat_detected
+            detected[i] += audit.report_prime(joint, joint_layout, "pattern", spent, rng) is None
 
     counts, valid = [[0] * size, [0] * size], [0, 0]
     for t in range(trials):
         rng = stats.spawn_rng(seed, 2, t)
         for i, (state, layout, spent) in enumerate(arms):
-            wire, _ = measure_register(state, layout, spent, rng)
-            index, value = scheme.unwire(k, wire)
+            index, value = scheme.unwire(k, measure_register(state, layout, spent, rng))
             counts[i][index - 1] += 1
             valid[i] += secret.block(index) == value
 
@@ -448,7 +446,7 @@ def swap_chain_checks(rng, instances: int) -> float:
         if 1.0 - first < 1e-12:
             worst = max(worst, lhs - first)
             continue
-        post = swap_project(chi, _CHAIN_LAYOUT, "r2", "r3", 0)
+        post = swap_project(chi, _CHAIN_LAYOUT, "r2", "r3")
         second = swap_probability(post, _CHAIN_LAYOUT, "r1", "r2")
         worst = max(worst, lhs - first - second)
     return worst
@@ -512,10 +510,8 @@ def pattern_chain_sampled(seed: int, trials: int) -> tuple[int, int]:
     for t in range(trials):
         rng = stats.spawn_rng(seed, 7, t)
         chi = random_state(6, rng)
-        chain = audit.report_chain(chi, _PATTERN_LAYOUT, rng)
-        chain_bot += chain.cheat_detected
-        prime = audit.report_prime(chi, _PATTERN_LAYOUT, "p", "t1", rng)
-        prime_bot += prime.cheat_detected
+        chain_bot += audit.report_chain(chi, _PATTERN_LAYOUT, rng) is None
+        prime_bot += audit.report_prime(chi, _PATTERN_LAYOUT, "p", "t1", rng) is None
     return chain_bot, prime_bot
 
 

@@ -31,24 +31,19 @@ def binomial_sigma(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    z = SIGMAS
+def proportion_interval(successes: int, trials: int) -> tuple[float, float]:
+    """3-sigma interval for a proportion; Wilson below 10^4 trials."""
     if trials < 1:
         raise ValueError("need at least one trial")
     p_hat = successes / trials
+    z = SIGMAS
+    if trials >= NORMAL_INTERVAL_MIN_TRIALS:
+        half = z * binomial_sigma(p_hat, trials)
+        return max(0.0, p_hat - half), min(1.0, p_hat + half)
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def proportion_interval(successes: int, trials: int) -> tuple[float, float]:
-    """3-sigma interval for a proportion; Wilson below 10^4 trials."""
-    p_hat = successes / trials
-    if trials >= NORMAL_INTERVAL_MIN_TRIALS:
-        half = SIGMAS * binomial_sigma(p_hat, trials)
-        return max(0.0, p_hat - half), min(1.0, p_hat + half)
-    return wilson_interval(successes, trials)
 
 
 def matches_rate(successes: int, trials: int, expected: float) -> bool:

@@ -172,17 +172,21 @@ def test_forgery_batches_decide_as_rounds_of_one(monkeypatch):
 # -- tracking banks ----------------------------------------------------------------
 
 
+def merged_layout(layout):
+    """The layout's registers read as one register, ``all``."""
+    return core.RegisterLayout([("all", layout.num_qubits)])
+
+
 def test_loaded_token_index_correlation():
-    """Measuring the token then the bank register always yields equal indices."""
+    """Measuring the bank and token registers together always yields equal indices."""
     k = 3
     secret = scheme.SecretString.random(k, rng_for(6))
     state, layout = adversary.mint_loaded(secret)
     rng = rng_for(7)
     for _ in range(100):
-        wire, post = core.measure_register(state, layout, "token", rng)
-        index, _ = scheme.unwire(k, wire)
-        bank_index, _ = core.measure_register(post, layout, "bank", rng)
-        assert bank_index == index - 1
+        wire = core.measure_register(state, merged_layout(layout), "all", rng)
+        index, _ = scheme.unwire(k, wire & ((1 << 2 * k) - 1))
+        assert wire >> 2 * k == index - 1
 
 
 def test_loaded_bank_flags_unrelated_user_rarely():
@@ -195,8 +199,7 @@ def test_loaded_bank_flags_unrelated_user_rarely():
     trials = 20_000
     flagged = 0
     for _ in range(trials):
-        _, post = core.measure_register(state, layout, "token", rng)
-        bank_index, _ = core.measure_register(post, layout, "bank", rng)
+        bank_index = core.measure_register(state, merged_layout(layout), "all", rng) >> 2 * k
         other_index, _ = scheme.report(honest, rng)
         flagged += bank_index == other_index - 1
     p = 2.0**-k
@@ -211,8 +214,7 @@ def test_loaded_message_distribution_is_honest():
     rng = rng_for(11)
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        wire, _ = core.measure_register(state, layout, "token", rng)
-        index, value = scheme.unwire(k, wire)
+        index, value = scheme.unwire(k, core.measure_register(state, layout, "token", rng))
         assert secret.block(index) == value
         counts[index - 1] += 1
     _, _, ok = stats.uniformity_passes(counts)
@@ -226,10 +228,9 @@ def test_permutation_paired_outcomes_locked():
     perm = rng.permutation(1 << k)
     state, layout = adversary.mint_permutation_paired(secret, perm)
     for _ in range(100):
-        wire1, post = core.measure_register(state, layout, "token1", rng)
-        i1, v1 = scheme.unwire(k, wire1)
-        wire2, _ = core.measure_register(post, layout, "token2", rng)
-        i2, v2 = scheme.unwire(k, wire2)
+        wire = core.measure_register(state, merged_layout(layout), "all", rng)
+        i1, v1 = scheme.unwire(k, wire >> 2 * k)
+        i2, v2 = scheme.unwire(k, wire & ((1 << 2 * k) - 1))
         assert secret.block(i1) == v1
         assert secret.block(i2) == v2
         assert i2 - 1 == int(perm[i1 - 1])
@@ -241,9 +242,8 @@ def test_identity_permutation_repeats_the_index():
     state, layout = adversary.mint_permutation_paired(secret, list(range(1 << k)))
     rng = rng_for(14)
     for _ in range(50):
-        wire1, post = core.measure_register(state, layout, "token1", rng)
-        wire2, _ = core.measure_register(post, layout, "token2", rng)
-        assert wire1 >> k == wire2 >> k
+        wire = core.measure_register(state, merged_layout(layout), "all", rng)
+        assert wire >> 3 * k == (wire >> k) & ((1 << k) - 1)
 
 
 def test_permutation_requires_bijection():
@@ -260,8 +260,7 @@ def test_paired_marginal_message_distribution_is_honest():
     state, layout = adversary.mint_permutation_paired(secret, rng.permutation(1 << k))
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        wire, _ = core.measure_register(state, layout, "token1", rng)
-        counts[wire >> k] += 1
+        counts[core.measure_register(state, layout, "token1", rng) >> k] += 1
     _, _, ok = stats.uniformity_passes(counts)
     assert ok
 

@@ -33,11 +33,11 @@ def test_identical_tokens_never_flag_and_report_validly():
     pattern_rho = core.reduced_density(joint, layout, "pattern")
     for _ in range(40):
         out = audit.report_prime(joint, layout, "pattern", "t1", rng)
-        assert not out.cheat_detected
-        index, value = out.report
+        assert out is not None
+        index, value = out
         assert secret.block(index) == value
-        post_rho = core.reduced_density(out.post_state, layout, "pattern")
-        assert np.allclose(post_rho.entries, pattern_rho.entries, atol=1e-9)
+    post_rho = core.reduced_density(core.swap_project(joint, layout, "pattern", "t1"), layout, "pattern")
+    assert np.allclose(post_rho.entries, pattern_rho.entries, atol=1e-9)
 
 
 def test_orthogonal_token_flagged_half_the_time():
@@ -54,7 +54,7 @@ def test_orthogonal_token_flagged_half_the_time():
     rng = rng_for(4)
     trials = 20_000
     flagged = sum(
-        audit.report_prime(joint, layout, "pattern", "t1", rng).cheat_detected
+        audit.report_prime(joint, layout, "pattern", "t1", rng) is None
         for _ in range(trials)
     )
     assert abs(flagged / trials - 0.5) <= 3 * math.sqrt(0.25 / trials)
@@ -72,7 +72,7 @@ def test_loaded_token_detection_rate():
     rng = rng_for(6)
     trials = 20_000
     flagged = sum(
-        audit.report_prime(joint, layout, "pattern", "token", rng).cheat_detected
+        audit.report_prime(joint, layout, "pattern", "token", rng) is None
         for _ in range(trials)
     )
     assert abs(flagged / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
@@ -87,8 +87,8 @@ def test_chain_on_identical_tokens():
     rng = rng_for(8)
     for _ in range(20):
         result = audit.report_chain(joint, layout, rng)
-        assert not result.cheat_detected
-        index, value = result.report
+        assert result is not None
+        index, value = result
         assert secret.block(index) == value
 
 
@@ -105,26 +105,22 @@ def orthogonal_last_joint(k, seed):
 @pytest.mark.parametrize("instance", ["honest", "first-test-aborts"])
 def test_chain_is_swap_tests_then_report_prime(instance):
     """report_chain on [p, t1, t2] draws exactly what swap_test(p, t2) then
-    report_prime(p, t1) draws, in the same order, and ends in the same state."""
+    report_prime(p, t1) draws, in the same order, and reports the same."""
     if instance == "honest":
         _, joint, layout = honest_joint(1, seed=21, extra_tokens=2)
     else:
         joint, layout = orthogonal_last_joint(1, seed=22)
     p, t1, t2 = layout.names
-    first_bits = set()
+    first_fired = set()
     for seed in range(20):
         rng_chain, rng_hand = rng_for(seed), rng_for(seed)
         chain = audit.report_chain(joint, layout, rng_chain)
-        bit, state = core.swap_test(joint, layout, p, t2, rng_hand)
-        first_bits.add(bit)
-        if bit == 1:
-            hand = audit.AuditOutcome(None, state)
-        else:
-            hand = audit.report_prime(state, layout, p, t1, rng_hand)
-        assert chain.report == hand.report
-        assert chain.post_state.amplitudes == hand.post_state.amplitudes
+        state = core.swap_test(joint, layout, p, t2, rng_hand)
+        first_fired.add(state is None)
+        hand = None if state is None else audit.report_prime(state, layout, p, t1, rng_hand)
+        assert chain == hand
         assert rng_chain.random() == rng_hand.random()
-    assert first_bits == ({0} if instance == "honest" else {0, 1})
+    assert first_fired == ({False} if instance == "honest" else {False, True})
 
 
 def test_chain_aborts_on_orthogonal_register():
@@ -135,16 +131,13 @@ def test_chain_aborts_on_orthogonal_register():
     p_first = core.swap_probability(joint, layout, "p", "t2")
     assert abs(p_first - 0.5) <= 1e-9
     exact = audit.chain_cheat_probability(joint, layout)
-    post = core.swap_project(joint, layout, "p", "t2", 0)
+    post = core.swap_project(joint, layout, "p", "t2")
     p_second = core.swap_probability(post, layout, "p", "t1")
     assert abs(exact - (p_first + (1 - p_first) * p_second)) <= 1e-9
 
     rng = rng_for(10)
     trials = 20_000
-    aborts = sum(
-        audit.report_chain(joint, layout, rng).cheat_detected
-        for _ in range(trials)
-    )
+    aborts = sum(audit.report_chain(joint, layout, rng) is None for _ in range(trials))
     assert abs(aborts / trials - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
 
 
@@ -182,16 +175,15 @@ def test_chain_abort_probability_dominates_single_audit():
 
 def test_pattern_survives_sequential_audits():
     """Reusing the same pattern over several honest transactions never aborts
-    and leaves the pattern marginal with fidelity 1."""
+    and leaves the pattern marginal with fidelity 1 after every passed test."""
     k = 2
     secret, joint, layout = honest_joint(k, seed=12, extra_tokens=3)
     pattern_vec = refsim.dense(scheme.token_state(secret))
     rng = rng_for(13)
     state = joint
     for token_name in ("t3", "t2", "t1"):
-        out = audit.report_prime(state, layout, "pattern", token_name, rng)
-        assert not out.cheat_detected
-        state = out.post_state
+        state = core.swap_test(state, layout, "pattern", token_name, rng)
+        assert state is not None
         rho = core.reduced_density(state, layout, "pattern")
         assert abs(pattern_vec.conj() @ rho.entries @ pattern_vec - 1.0) <= 1e-9
 
@@ -210,8 +202,7 @@ def test_audited_report_distribution_matches_plain_report():
     counts_audit = np.zeros(1 << k, dtype=int)
     counts_plain = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        out = audit.report_prime(joint, layout, "pattern", "t1", rng)
-        counts_audit[out.report[0] - 1] += 1
+        counts_audit[audit.report_prime(joint, layout, "pattern", "t1", rng)[0] - 1] += 1
         counts_plain[scheme.report(token, rng)[0] - 1] += 1
     stat, dof = refsim.chi_squared_two_sample(counts_audit, counts_plain)
     assert stat <= stats.chi2_critical(dof)
@@ -272,6 +263,9 @@ def test_heuristic_swapped_usage_distinguisher_respects_bound():
     loaded, _ = adversary.mint_loaded(secret)
     chi = core.tensor(pattern, loaded)
     layout = core.RegisterLayout([("tok1", 2 * k), ("bank", k), ("tok2", 2 * k)])
+    # The same state with tok1 and bank read as one register, so that one
+    # measurement reports the token and the bank's record together.
+    merged = core.RegisterLayout([("tok1_bank", 3 * k), ("tok2", 2 * k)])
     p_bot = core.swap_probability(chi, layout, "tok1", "tok2")
     bound = 0.5 + math.sqrt(p_bot)
 
@@ -280,17 +274,14 @@ def test_heuristic_swapped_usage_distinguisher_respects_bound():
     wins = 0
     for _ in range(trials):
         side = int(rng.integers(1, 3))
-        if side == 1:
-            wire, post = core.measure_register(chi, layout, "tok1", rng)
-            outcome = scheme.unwire(k, wire)
-        else:
-            outcome, post = audit.report_prime(chi, layout, "tok2", "tok1", rng)
+        state = chi if side == 1 else core.swap_test(chi, layout, "tok2", "tok1", rng)
         # Heuristic guess: abort means audited; otherwise match the bank
         # register against the reported index.
-        if outcome is None:
+        if state is None:
             guess = 2
         else:
-            bank_index, _ = core.measure_register(post, layout, "bank", rng)
-            guess = 2 if bank_index == outcome[0] - 1 else 1
+            wire = core.measure_register(state, merged, "tok1_bank", rng)
+            index, _ = scheme.unwire(k, wire >> k)
+            guess = 2 if wire & ((1 << k) - 1) == index - 1 else 1
         wins += guess == side
     assert wins / trials <= bound + 3 * math.sqrt(0.25 / trials)

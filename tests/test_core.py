@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import refsim
-from qtoken import adversary, core, scheme
+from qtoken import core, scheme
 
 TOL = 1e-9
 
@@ -24,13 +24,11 @@ def plus_state():
 
 
 def engine_swap(state, layout, reg_a, reg_b) -> np.ndarray:
-    """SWAP v = P0 v - P1 v, built from the engine's exact swap-test projections."""
+    """SWAP v = 2 P0 v - v, built from the engine's exact symmetric projection."""
     p1 = core.swap_probability(state, layout, reg_a, reg_b)
-    out = np.zeros(1 << state.num_qubits, dtype=complex)
+    out = -refsim.dense(state)
     if p1 < 1 - 1e-12:
-        out += math.sqrt(1 - p1) * refsim.dense(core.swap_project(state, layout, reg_a, reg_b, 0))
-    if p1 > 1e-12:
-        out -= math.sqrt(p1) * refsim.dense(core.swap_project(state, layout, reg_a, reg_b, 1))
+        out += 2 * math.sqrt(1 - p1) * refsim.dense(core.swap_project(state, layout, reg_a, reg_b))
     return out
 
 
@@ -77,9 +75,10 @@ def test_every_operation_preserves_normalization():
     for _ in range(20):
         state = core.random_state(4, rng)
         assert abs(np.linalg.norm(refsim.dense(state)) ** 2 - 1.0) <= TOL
-        _, post = core.swap_test(state, layout, "a", "b", rng)
-        assert abs(np.linalg.norm(refsim.dense(post)) ** 2 - 1.0) <= TOL
-        _, post = core.measure_register(state, layout, "a", rng)
+        post = core.swap_test(state, layout, "a", "b", rng)
+        if post is not None:
+            assert abs(np.linalg.norm(refsim.dense(post)) ** 2 - 1.0) <= TOL
+        post = core.swap_project(state, layout, "a", "b")
         assert abs(np.linalg.norm(refsim.dense(post)) ** 2 - 1.0) <= TOL
 
 
@@ -163,19 +162,21 @@ def test_inner_product_token_overlap_one_block_differs():
 
 def test_measure_basis_state_is_deterministic():
     layout = core.RegisterLayout([("all", 2)])
-    outcome, post = core.measure_register(core.SparseState(2, {0b01: 1.0}), layout, "all", rng_for())
-    assert outcome == 0b01
-    assert post.amplitudes == {0b01: 1.0 + 0j}
+    for seed in range(5):
+        outcome = core.measure_register(core.SparseState(2, {0b01: 1.0}), layout, "all", rng_for(seed))
+        assert outcome == 0b01
 
 
 def test_measure_second_register_after_collapse():
+    """Measuring (index, value) as one merged register yields the pair a
+    collapse of the index would: the value is always the index's block."""
     secret = scheme.SecretString.random(4, rng_for(9))
     token = scheme.token_state(secret)
-    layout = core.RegisterLayout([("index", 4), ("value", 4)])
+    layout = core.RegisterLayout([("index_value", 8)])
     rng = rng_for(10)
-    i0, post = core.measure_register(token, layout, "index", rng)
-    value, _ = core.measure_register(post, layout, "value", rng)
-    assert value == secret.block(i0 + 1)
+    for _ in range(50):
+        wire = core.measure_register(token, layout, "index_value", rng)
+        assert wire & 0xF == secret.block((wire >> 4) + 1)
 
 
 def test_measure_index_register_uniform():
@@ -188,8 +189,7 @@ def test_measure_index_register_uniform():
     rng = rng_for(13)
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        index, _ = core.measure_register(token, layout, "index", rng)
-        counts[index] += 1
+        counts[core.measure_register(token, layout, "index", rng)] += 1
     p = 2.0**-k
     sigma = math.sqrt(p * (1 - p) * trials)
     assert np.all(np.abs(counts - trials * p) <= 3 * sigma)
@@ -203,8 +203,7 @@ def test_measure_marginals_match_dense_oracle():
     counts = np.zeros(8)
     trials = 40_000
     for _ in range(trials):
-        outcome, _ = core.measure_register(state, layout, "b", rng)
-        counts[outcome] += 1
+        counts[core.measure_register(state, layout, "b", rng)] += 1
     sigma = np.sqrt(np.maximum(probs * (1 - probs) * trials, 1.0))
     assert np.all(np.abs(counts - trials * probs) <= 4 * sigma)
 
@@ -270,8 +269,8 @@ def test_swap_test_identical_product_always_zero():
     joint = core.tensor(phi, phi)
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
     for _ in range(50):
-        bit, post = core.swap_test(joint, layout, "a", "b", rng)
-        assert bit == 0
+        post = core.swap_test(joint, layout, "a", "b", rng)
+        assert post is not None
         assert dense_close(refsim.dense(post), refsim.dense(joint))
 
 
@@ -312,25 +311,23 @@ def test_swap_probability_matches_dense_oracle_on_entangled_states():
 
 
 def test_swap_test_projective_structure():
-    """Outcome-0 posts are swap-invariant, outcome-1 posts swap-negated, and
-    repeating the test reproduces the outcome with certainty."""
+    """Pass post-states are swap-invariant, and repeating the test on one
+    passes with certainty; on random states the test both passes and fires."""
     rng = rng_for(23)
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
     seen = set()
-    while seen != {0, 1}:
+    while seen != {True, False}:
         state = core.random_state(4, rng)
-        bit, post_state = core.swap_test(state, layout, "a", "b", rng)
-        seen.add(bit)
+        post_state = core.swap_test(state, layout, "a", "b", rng)
+        seen.add(post_state is None)
+        if post_state is None:
+            continue
         post = refsim.dense(post_state)
-        swapped_post = refsim.dense_swap(post, layout, "a", "b")
-        if bit == 0:
-            assert dense_close(swapped_post, post)
-            assert core.swap_probability(post_state, layout, "a", "b") <= TOL
-        else:
-            assert dense_close(swapped_post, -post)
-            assert core.swap_probability(post_state, layout, "a", "b") >= 1 - TOL
-        repeat, _ = core.swap_test(post_state, layout, "a", "b", rng)
-        assert repeat == bit
+        assert dense_close(refsim.dense_swap(post, layout, "a", "b"), post)
+        assert core.swap_probability(post_state, layout, "a", "b") <= TOL
+        repeat = core.swap_test(post_state, layout, "a", "b", rng)
+        assert repeat is not None
+        assert dense_close(refsim.dense(repeat), post)
 
 
 def test_swap_test_sampled_frequency():
@@ -339,7 +336,7 @@ def test_swap_test_sampled_frequency():
     state = core.tensor(plus_state(), core.SparseState(1, {0: 1.0}))
     p1 = core.swap_probability(state, layout, "a", "b")
     trials = 20_000
-    hits = sum(core.swap_test(state, layout, "a", "b", rng)[0] for _ in range(trials))
+    hits = sum(core.swap_test(state, layout, "a", "b", rng) is None for _ in range(trials))
     assert abs(hits / trials - p1) <= 3 * math.sqrt(p1 * (1 - p1) / trials)
 
 
@@ -347,10 +344,12 @@ def test_swap_project_matches_swap_test_posts():
     rng = rng_for(25)
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
     state = core.random_state(4, rng)
-    for outcome in (0, 1):
-        post = core.swap_project(state, layout, "a", "b", outcome)
-        want = core.swap_probability(post, layout, "a", "b")
-        assert abs(want - outcome) <= TOL
+    post = core.swap_project(state, layout, "a", "b")
+    assert core.swap_probability(post, layout, "a", "b") <= TOL
+    passed = None
+    while passed is None:
+        passed = core.swap_test(state, layout, "a", "b", rng)
+    assert passed is post
 
 
 # -- reduced density and trace distance ------------------------------------------------
@@ -400,7 +399,7 @@ def test_reduced_density_matches_dense_oracle_with_reordering():
 @st.composite
 def partial_traces(draw):
     """(state, layout, keep): a random state on a random layout, its keys in
-    unsorted order, sometimes a swap post-state, its parts drawn with exact
+    unsorted order, sometimes a swap pass post-state, its parts drawn with exact
     zeros of both signs, and kept registers in permuted order up to 8 qubits."""
     widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     layout = core.RegisterLayout([(f"r{i}", w) for i, w in enumerate(widths)])
@@ -418,9 +417,8 @@ def partial_traces(draw):
              if a < b and layout.width(a) == layout.width(b)]
     if pairs and draw(st.booleans()):
         a, b = draw(st.sampled_from(pairs))
-        p1 = core.swap_probability(state, layout, a, b)
-        outcome = draw(st.integers(0, 1)) if 1e-6 < p1 < 1 - 1e-6 else int(p1 > 0.5)
-        state = core.swap_project(state, layout, a, b, outcome)
+        if core.swap_probability(state, layout, a, b) < 1 - 1e-6:
+            state = core.swap_project(state, layout, a, b)
     keep = []
     for name in draw(st.permutations(layout.names)):
         if sum(layout.width(k) for k in keep) + layout.width(name) > 8:
@@ -592,25 +590,15 @@ def reference_measure(state, layout, reg, rng):
         acc += w
         if x < acc:
             break
-    return outcome, filtered_post(state, shift, mask, outcome)
+    return outcome
 
 
-def filtered_post(state, shift, mask, outcome):
-    """The post-state amplitudes of ``outcome`` from one filtered walk over the
-    whole state, in state order."""
-    kept = {}
-    norm_sq = 0.0
-    for idx, amp in state.amplitudes.items():
-        if (idx >> shift) & mask == outcome:
-            kept[idx] = amp
-            norm_sq += amp.real * amp.real + amp.imag * amp.imag
-    scale = 1.0 / math.sqrt(norm_sq)
-    return [(i, a * scale) for i, a in kept.items() if abs(a * scale) > core.PRUNE_THRESHOLD]
-
-
-def same_sample(got, want):
-    """Equal outcomes and equal post-state amplitudes, in the same order."""
-    return got[0] == want[0] and list(got[1].amplitudes.items()) == list(want[1].amplitudes.items())
+def same_pass(got, want):
+    """Both swap tests fired, or both passed into equal post-state amplitudes
+    in the same order."""
+    if got is None or want is None:
+        return got is want
+    return list(got.amplitudes.items()) == list(want.amplitudes.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,10 +609,8 @@ def test_memoised_measurement_matches_the_uncached_walk(case, seed):
     # Each register twice: the first call fills its memo entry, the second
     # reads it; equal-width registers must not share an entry.
     for reg in layout.names * 2:
-        outcome, post = core.measure_register(state, layout, reg, rng)
-        ref_outcome, ref_amps = reference_measure(state, layout, reg, ref_rng)
-        assert outcome == ref_outcome
-        assert list(post.amplitudes.items()) == ref_amps
+        assert core.measure_register(state, layout, reg, rng) == reference_measure(
+            state, layout, reg, ref_rng)
         assert rng.random() == ref_rng.random()
 
 
@@ -636,11 +622,12 @@ def test_memoised_swap_test_matches_the_exact_probability(case, seed):
     swapped = refsim.dense_swap(refsim.dense(state), layout, "p", "t1")
     rng, ref_rng = rng_for(seed), rng_for(seed)
     for _ in range(3):  # the first call fills the memo, the rest read it
-        bit, post = core.swap_test(state, layout, "p", "t1", rng)
-        assert bit == (1 if ref_rng.random() < p1 else 0)
-        want = core.swap_project(fresh(state), layout, "p", "t1", bit)
-        assert list(post.amplitudes.items()) == list(want.amplitudes.items())
-        projected = (refsim.dense(state) + (1 - 2 * bit) * swapped) / 2
+        post = core.swap_test(state, layout, "p", "t1", rng)
+        assert (post is None) == (ref_rng.random() < p1)
+        if post is None:
+            continue
+        assert same_pass(post, core.swap_project(fresh(state), layout, "p", "t1"))
+        projected = (refsim.dense(state) + swapped) / 2
         assert dense_close(refsim.dense(post), projected / np.linalg.norm(projected))
     assert rng.random() == ref_rng.random()
 
@@ -656,10 +643,10 @@ def test_one_state_on_two_register_pairs_samples_like_two_copies(case, seed):
     for pair in [("p", "t2"), ("p", "t1")] * 2:
         got = core.swap_test(state, layout, *pair, rng)
         want = core.swap_test(copies[pair], layout, *pair, ref_rng)
-        assert same_sample(got, want)
-        got = core.measure_register(got[1], layout, pair[1], rng)
-        want = core.measure_register(fresh(want[1]), layout, pair[1], ref_rng)
-        assert same_sample(got, want)
+        assert same_pass(got, want)
+        if got is not None:
+            assert core.measure_register(got, layout, pair[1], rng) == core.measure_register(
+                fresh(want), layout, pair[1], ref_rng)
     assert rng.random() == ref_rng.random()
 
 
@@ -668,36 +655,32 @@ def test_one_state_on_two_register_pairs_samples_like_two_copies(case, seed):
 def test_swap_project_after_swap_test_matches_a_fresh_copy(case, seed):
     state, layout = case
     core.swap_test(state, layout, "t1", "t2", rng_for(seed))
-    p1 = core.swap_probability(state, layout, "t1", "t2")
-    for outcome, weight in ((0, 1.0 - p1), (1, p1)):
-        if weight < 1e-15:
-            with pytest.raises(ValueError, match="zero weight"):
-                core.swap_project(state, layout, "t1", "t2", outcome)
-            continue
-        got = core.swap_project(state, layout, "t1", "t2", outcome)
-        want = core.swap_project(fresh(state), layout, "t1", "t2", outcome)
-        assert list(got.amplitudes.items()) == list(want.amplitudes.items())
+    if 1.0 - core.swap_probability(state, layout, "t1", "t2") < 1e-15:
+        with pytest.raises(ValueError, match="zero weight"):
+            core.swap_project(state, layout, "t1", "t2")
+        return
+    got = core.swap_project(state, layout, "t1", "t2")
+    assert same_pass(got, core.swap_project(fresh(state), layout, "t1", "t2"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(joint_states(), st.integers(0, 2**32 - 1))
 def test_post_states_memoise_like_constructed_states(case, seed):
-    """Post-states are built without the validating constructor; they keep a
-    memo of their own and sample like an equal constructed state."""
+    """Pass post-states are built without the validating constructor; they
+    keep a memo of their own and sample like an equal constructed state."""
     state, layout = case
-    posts = [core.measure_register(state, layout, "x" if "x" in layout.names else "p",
-                                   rng_for(seed))[1]]
-    if core.swap_probability(state, layout, "p", "t2") < 1 - 1e-15:
-        posts.append(core.swap_project(state, layout, "p", "t2", 0))
+    posts = [core.swap_project(state, layout, *pair)
+             for pair in (("p", "t2"), ("t1", "t2"))
+             if core.swap_probability(state, layout, *pair) < 1 - 1e-15]
     for post in posts:
         copy = fresh(post)
         for _ in range(2):
             assert core.swap_probability(post, layout, "p", "t1") == core.swap_probability(
                 copy, layout, "p", "t1")
-            assert same_sample(core.swap_test(post, layout, "p", "t1", rng_for(seed)),
-                               core.swap_test(copy, layout, "p", "t1", rng_for(seed)))
-            assert same_sample(core.measure_register(post, layout, "t2", rng_for(seed)),
-                               core.measure_register(copy, layout, "t2", rng_for(seed)))
+            assert same_pass(core.swap_test(post, layout, "p", "t1", rng_for(seed)),
+                             core.swap_test(copy, layout, "p", "t1", rng_for(seed)))
+            assert core.measure_register(post, layout, "t2", rng_for(seed)) == core.measure_register(
+                copy, layout, "t2", rng_for(seed))
 
 
 class FixedDraw:
@@ -717,36 +700,6 @@ def test_a_draw_at_or_above_the_last_running_sum_takes_the_last_outcome():
     # A draw of 1.0 lands on the total, which is not below the last running sum.
     assert sum(weights) >= list(accumulate(weights))[-1]
     for _ in range(2):
-        outcome, post = core.measure_register(state, layout, "all", FixedDraw(1.0))
-        assert outcome == 4 == reference_measure(state, layout, "all", FixedDraw(1.0))[0]
-        assert post.amplitudes == {4: 1.0 + 0j}
-        assert core.measure_register(state, layout, "all", FixedDraw(0.0))[0] == 0
-
-
-@pytest.mark.parametrize("k", [1, 4, 8])
-def test_bucketed_post_states_equal_the_filtered_walk(k):
-    """Post-states built from the marginal walk's buckets equal, bit for bit,
-    the filtered walk over the whole state, on the tracking audit's joint
-    state: a pattern token in front of a loaded token."""
-    secret = scheme.SecretString.random(k, rng_for(k))
-    loaded, _ = adversary.mint_loaded(secret)
-    state = core.tensor(scheme.token_state(secret), loaded)
-    layout = core.RegisterLayout([("pattern", 2 * k), ("bank", k), ("token", 2 * k)])
-    for reg in layout.names:
-        shift, mask = layout.shift(reg), layout.mask(reg)
-        weights = {}
-        for idx, amp in state.amplitudes.items():
-            val = (idx >> shift) & mask
-            weights[val] = weights.get(val, 0.0) + abs(amp) ** 2
-        values, accs = list(weights), list(accumulate(weights.values()))
-        total = sum(weights.values())
-        # Every outcome up to k=4; at k=8 the filtered walk is too slow for
-        # all 256, so every 51st, the first and the last.
-        picks = range(len(values)) if k < 8 else [*range(0, len(values), 51), len(values) - 1]
-        for pick in picks:
-            low = accs[pick - 1] if pick else 0.0
-            draw = FixedDraw((low + accs[pick]) / 2 / total)
-            for _ in range(2):  # the first draw builds the post-state, the second reads it
-                outcome, post = core.measure_register(state, layout, reg, draw)
-                assert outcome == values[pick]
-                assert list(post.amplitudes.items()) == filtered_post(state, shift, mask, outcome)
+        outcome = core.measure_register(state, layout, "all", FixedDraw(1.0))
+        assert outcome == 4 == reference_measure(state, layout, "all", FixedDraw(1.0))
+        assert core.measure_register(state, layout, "all", FixedDraw(0.0)) == 0

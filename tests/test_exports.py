@@ -43,6 +43,14 @@ def imports_qtoken(node):
     )
 
 
+def qtoken_scopes(tree):
+    """The benchmark module itself if it imports qtoken at module level, else
+    its functions that import it."""
+    if any(imports_qtoken(n) for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))):
+        return [tree]
+    return [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and imports_qtoken(n)]
+
+
 def attribute_reads(path, tree):
     """(path, attribute, line) of every attribute ``tree`` reads."""
     return {
@@ -64,12 +72,7 @@ def test_every_public_method_is_read_outside_its_own_body():
     for path in PACKAGE.glob("*.py"):
         reads |= attribute_reads(path, ast.parse(path.read_text(encoding="utf-8")))
     for path in BENCHMARK.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if any(imports_qtoken(n) for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))):
-            scopes = [tree]
-        else:
-            scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and imports_qtoken(n)]
-        for scope in scopes:
+        for scope in qtoken_scopes(ast.parse(path.read_text(encoding="utf-8"))):
             reads |= attribute_reads(path, scope)
 
     unread = []
@@ -85,4 +88,52 @@ def test_every_public_method_is_read_outside_its_own_body():
                     for where, name, line in reads
                 ):
                     unread.append(f"{path.stem}.{cls.name}.{fn.name}")
+    assert sorted(unread) == []
+
+
+def name_reads(path, tree):
+    """(path, name, line) of every name ``tree`` reads, bare or as an attribute."""
+    return {
+        (path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def string_names(path, tree):
+    """(path, part, line) of every dotted part of every string constant in
+    ``tree``: the benchmark's tracer pins functions by name, as in
+    ``"core.swap_test"``."""
+    return {
+        (path, part, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+    }
+
+
+def test_every_public_function_is_read_outside_its_own_body():
+    """Each public module-level function of the package is read by the
+    package or the benchmark outside its own body, as a name, an attribute
+    or, in the benchmark, a string. Benchmark names and attributes count in
+    the scopes that import qtoken, as for methods; strings count anywhere."""
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        reads |= name_reads(path, ast.parse(path.read_text(encoding="utf-8")))
+    for path in BENCHMARK.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads |= string_names(path, tree)
+        for scope in qtoken_scopes(tree):
+            reads |= name_reads(path, scope)
+
+    unread = []
+    for path in PACKAGE.glob("*.py"):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            if not any(
+                name == fn.name and not (where == path and fn.lineno <= line <= fn.end_lineno)
+                for where, name, line in reads
+            ):
+                unread.append(f"{path.stem}.{fn.name}")
     assert sorted(unread) == []
