@@ -32,27 +32,71 @@ from .core import (
 from .scheme import unwire
 
 
+class TrialDraws:
+    """Uniform draws of a batch of trials, one row per trial, each row read
+    left to right from its own cursor. A single trial is a batch of one."""
+
+    __slots__ = ("matrix", "cursor")
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+        if self.matrix.ndim != 2:
+            raise ValueError("draws need one row per trial")
+        self.cursor = np.zeros(len(self.matrix), np.intp)
+
+    def next(self, rows: np.ndarray) -> np.ndarray:
+        """The next draw of each trial in ``rows``, advancing their cursors."""
+        cols = self.cursor[rows]
+        self.cursor[rows] = cols + 1
+        return self.matrix[rows, cols]
+
+
+def _audit(
+    joint: SparseState,
+    layout: RegisterLayout,
+    pattern: str,
+    tokens: tuple[str, ...],
+    draws: TrialDraws,
+) -> list[tuple[int, int] | None]:
+    """Swap-test the pattern against each of ``tokens`` in turn, then measure
+    the last one: per trial, None at the first fired test, else its report.
+
+    A trial reads one draw per swap test it reaches and one for the
+    measurement. Every trial that passes a test is left in the same state,
+    the test's exact projection, so the batch shares one state per step.
+    """
+    width = layout.width(tokens[-1])
+    if width % 2 != 0:
+        raise ValueError("token register width must be even")
+    reports: list[tuple[int, int] | None] = [None] * len(draws.matrix)
+    rows = np.arange(len(draws.matrix))
+    state = joint
+    for tok in tokens:
+        rows = rows[~swap_test(state, layout, pattern, tok, draws.next(rows))]
+        if not rows.size:
+            return reports
+        state = swap_project(state, layout, pattern, tok)
+    index, value = unwire(width // 2, measure_register(state, layout, tokens[-1], draws.next(rows)))
+    for row, report in zip(rows.tolist(), zip(index.tolist(), value.tolist())):
+        reports[row] = report
+    return reports
+
+
 def report_prime(
     joint: SparseState,
     layout: RegisterLayout,
     pattern: str,
     token: str,
-    rng: np.random.Generator,
-) -> tuple[int, int] | None:
+    draws: TrialDraws,
+) -> list[tuple[int, int] | None]:
     """Swap-test the token against the pattern, then measure it if clean.
 
-    A fired swap test aborts with a detected cheat and returns None. A passed
+    Per trial: a fired swap test aborts with a detected cheat, None. A passed
     one leaves the pattern register intact; the token register is then
     measured in the computational basis and parsed into an (index, value)
     report.
     """
-    width = layout.width(token)
-    if width % 2 != 0:
-        raise ValueError("token register width must be even")
-    state = swap_test(joint, layout, pattern, token, rng)
-    if state is None:
-        return None
-    return unwire(width // 2, measure_register(state, layout, token, rng))
+    return _audit(joint, layout, pattern, (token,), draws)
 
 
 def _chain_registers(layout: RegisterLayout) -> tuple[str, tuple[str, ...]]:
@@ -71,22 +115,18 @@ def _chain_registers(layout: RegisterLayout) -> tuple[str, tuple[str, ...]]:
 def report_chain(
     joint: SparseState,
     layout: RegisterLayout,
-    rng: np.random.Generator,
-) -> tuple[int, int] | None:
+    draws: TrialDraws,
+) -> list[tuple[int, int] | None]:
     """Audit a pattern against every token register, then report the first.
 
     The layout's first register is the pattern; the remaining registers are
-    the tokens, all of the pattern's width. Swap tests run against the last
-    token first and walk down to the second; the first detected mismatch
-    aborts with None. If all pass, the first token goes through ``report_prime``.
+    the tokens, all of the pattern's width. Per trial, swap tests run against
+    the last token first and walk down to the first; the first detected
+    mismatch aborts with None. If all pass, the first token is measured, as
+    in ``report_prime``.
     """
     pattern, tokens = _chain_registers(layout)
-    state = joint
-    for tok in reversed(tokens[1:]):
-        state = swap_test(state, layout, pattern, tok, rng)
-        if state is None:
-            return None
-    return report_prime(state, layout, pattern, tokens[0], rng)
+    return _audit(joint, layout, pattern, tokens[::-1], draws)
 
 
 def cheat_probability(

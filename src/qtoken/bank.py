@@ -130,6 +130,7 @@ class BankService:
         self._sync = sync
         self._log = _open_log(log_path, sync) if log_path else None
         self.replayed = 0  # log records replayed by ``recover``
+        self.torn_bytes = 0  # bytes of a torn final record ``recover`` cut
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -137,7 +138,8 @@ class BankService:
     def recover(cls, log_path: str, sync: bool = True) -> BankService:
         """Rebuild service state by replaying the log; verify every decision.
 
-        A torn final record is cut off before the log is opened for append.
+        A torn final record is cut off, and with ``sync`` the cut is made
+        durable, before the log is opened for append.
         """
         service = cls(sync=sync)
         if os.path.exists(log_path):
@@ -149,6 +151,9 @@ class BankService:
                             f"{log_path}: cut {len(raw)} torn bytes at byte offset {offset}"
                         )
                         os.truncate(log_path, offset)
+                        if sync:
+                            os.fsync(fh.fileno())
+                        service.torn_bytes = len(raw)
                         break
                     service._replay(raw, line_no, offset)
                     service.replayed = line_no

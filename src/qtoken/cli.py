@@ -136,7 +136,8 @@ def _cmd_serve(args) -> int:
         return _refuse(f"cannot listen on {args.socket}: {exc}")
     known = service.series_ids()
     print(f"recovered {len(known)} series from {args.log} "
-          f"({service.replayed} records replayed in {elapsed:.3f} s)", file=sys.stderr)
+          f"({service.replayed} records replayed, {service.torn_bytes} torn bytes cut, "
+          f"in {elapsed:.3f} s)", file=sys.stderr)
     print(f"listening on {server.address}", file=sys.stderr)
     try:
         server.serve_forever()

@@ -12,8 +12,10 @@ Conventions:
   index, so ``tensor(a, b)`` is a shift-and-or on indices.
 * States are immutable values: every operation returns a new state and never
   mutates its inputs, so states can be shared freely across threads.
-* Every sampling operation takes an explicit ``numpy.random.Generator``;
-  there is no global randomness anywhere in this package.
+* Every sampling operation takes its uniform draws in [0, 1) explicitly: one
+  float samples one trial, an array of draws samples one trial per draw, and
+  both go through the same code. There is no global randomness anywhere in
+  this package.
 
 Because a state never changes, whatever is computed from it alone stays
 true for as long as the state lives, so each state keeps a small memo of the
@@ -22,10 +24,8 @@ register pair (outcome-1 probability and the symmetric post-state) and the
 outcome marginal of a register (values and running probability sums).
 Entries are keyed by the register fields (shifts and mask), never by a
 layout's identity, and the symmetric post-state is normalised the first time
-it is returned. The tracking audit samples the same two joint states in
-every trial, so after the first trial each sample costs one draw and a
-lookup. A sample reads the generator exactly as an uncached walk does and
-returns the same outcome and post-state amplitudes. Two threads filling the
+it is returned. A sample is then one comparison or one sorted search of its
+draw, and a batch of draws is one array operation. Two threads filling the
 same entry compute the same value, so the race is benign. The sampled swap
 test, its exact probability and its exact projection all read the one
 memoised split, so a state's register pair is walked once.
@@ -33,18 +33,17 @@ memoised split, so a state's register pair is walked once.
 The swap test is implemented as what it is mathematically: a two-outcome
 projective measurement onto the symmetric subspace (outcome 0, projector
 (I + SWAP)/2) and the antisymmetric subspace (outcome 1, (I - SWAP)/2) of a
-pair of equal-width registers. Only a passed test leaves a state that the
-protocol keeps (the pattern token of an audit); a fired test and a register
-measurement end the flow, so they return no post-state. Exact outcome
-probabilities and the exact symmetric projection are available alongside
-the sampling form, because the inequality suites need 1e-9 precision that
-sampling cannot deliver.
+pair of equal-width registers. Sampling it yields the outcome; the state a
+passed test leaves (the pattern token of an audit) is the exact projection
+``swap_project``, the same for every trial that passed. A register
+measurement ends the flow, so it yields only its outcome. Exact outcome
+probabilities are available alongside the sampling form, because the
+inequality suites need 1e-9 precision that sampling cannot deliver.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -218,9 +217,10 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     return SparseState(a.num_qubits + b.num_qubits, amps)
 
 
-def _marginal(state: SparseState, shift: int, mask: int) -> tuple[list[int], list[float], float]:
+def _marginal(state: SparseState, shift: int, mask: int) -> tuple[np.ndarray, np.ndarray, float]:
     """One register field's outcome values in first-seen order, their running
-    probability sums and the total probability."""
+    probability sums with the last one made infinite, and the total
+    probability."""
     weights: dict[int, float] = {}
     for idx, amp in state.amplitudes.items():
         val = (idx >> shift) & mask
@@ -228,16 +228,21 @@ def _marginal(state: SparseState, shift: int, mask: int) -> tuple[list[int], lis
             weights[val] += abs(amp) ** 2
         else:
             weights[val] = abs(amp) ** 2
-    return list(weights), list(accumulate(weights.values())), sum(weights.values())
+    # Values of a register wider than 63 qubits stay Python ints.
+    values = np.fromiter(weights, np.int64 if mask >> 63 == 0 else object, len(weights))
+    accs = np.fromiter(accumulate(weights.values()), float, len(weights))
+    accs[-1] = math.inf
+    return values, accs, sum(weights.values())
 
 
 def measure_register(
     state: SparseState,
     layout: RegisterLayout,
     reg: str,
-    rng: np.random.Generator,
-) -> int:
-    """Computational-basis measurement of one register: its integer value."""
+    draw: float | np.ndarray,
+):
+    """Computational-basis measurement of one register per uniform draw: the
+    register's value, or an array of values for an array of draws."""
     if layout.num_qubits != state.num_qubits:
         raise ValueError("layout width does not match state width")
     shift = layout.shift(reg)
@@ -246,8 +251,8 @@ def measure_register(
         state, ("reg", shift, mask), lambda: _marginal(state, shift, mask)
     )
     # The first value whose running sum exceeds the draw; rounding can leave
-    # the draw at or above the last sum, and then the last value is taken.
-    return values[min(bisect_right(accs, rng.random() * total), len(values) - 1)]
+    # the draw at or above the last sum, which is why that one is infinite.
+    return values[accs.searchsorted(draw * total, "right")]
 
 
 def _swap_fields(layout: RegisterLayout, reg_a: str, reg_b: str) -> tuple[int, int, int]:
@@ -300,14 +305,6 @@ def _split(state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str) -
     return _memoized(state, ("swap", *fields), lambda: _swap_parts(state, *fields))
 
 
-def _swap_pass(state: SparseState, split: list) -> SparseState:
-    """The symmetric post-state of ``split``, normalised once and kept."""
-    part = split[1]
-    if isinstance(part, dict):
-        part = split[1] = _normalized_state(state.num_qubits, part, 1.0 - split[0])
-    return part
-
-
 def swap_probability(
     state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str
 ) -> float:
@@ -320,28 +317,28 @@ def swap_test(
     layout: RegisterLayout,
     reg_a: str,
     reg_b: str,
-    rng: np.random.Generator,
-) -> SparseState | None:
-    """Projective swap test between two registers of a joint state.
+    draw: float | np.ndarray,
+):
+    """Projective swap test between two registers of a joint state, once per
+    uniform draw: True where it fires, a bool array for an array of draws.
 
-    Fires (outcome 1, the antisymmetric subspace) with probability
-    ||(v - SWAP v)/2||^2 and then returns None. Otherwise the test passes and
-    returns the renormalized projection onto the symmetric subspace.
+    The test fires (outcome 1, the antisymmetric subspace) when the draw is
+    below ||(v - SWAP v)/2||^2. Where it passes, the state left behind is
+    ``swap_project``'s renormalized projection onto the symmetric subspace.
     """
-    split = _split(state, layout, reg_a, reg_b)
-    if rng.random() < split[0]:
-        return None
-    return _swap_pass(state, split)
+    return draw < _split(state, layout, reg_a, reg_b)[0]
 
 
 def swap_project(
     state: SparseState, layout: RegisterLayout, reg_a: str, reg_b: str
 ) -> SparseState:
-    """Exact post-measurement state of a passed swap test."""
+    """Exact post-measurement state of a passed swap test, normalised once and kept."""
     split = _split(state, layout, reg_a, reg_b)
     if 1.0 - split[0] < 1e-15:
         raise ValueError("symmetric component has (near) zero weight")
-    return _swap_pass(state, split)
+    if isinstance(split[1], dict):
+        split[1] = _normalized_state(state.num_qubits, split[1], 1.0 - split[0])
+    return split[1]
 
 
 def reduced_density(

@@ -285,6 +285,9 @@ def _with_pattern(
     return tensor(pattern, state), RegisterLayout(registers)
 
 
+_AUDIT_BATCH = 4096  # trials decided per array pass
+
+
 def _run_tracking_audit(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     k, trials, seed = spec.k, spec.trials, spec.seed
     size = 1 << k
@@ -298,19 +301,23 @@ def _run_tracking_audit(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
     )
     joints = [(*_with_pattern(secret, state, layout), spent) for state, layout, spent in arms]
 
-    detected = [0, 0]
-    for t in range(trials):
-        rng = stats.spawn_rng(seed, 1, t)
+    # Trial t audits both arms on the draws of stream (seed, 1, t), in arm
+    # order, and then measures both arms on those of (seed, 2, t). Trials run
+    # in batches, so memory stays flat in the trial count.
+    detected, valid = [0, 0], [0, 0]
+    counts = np.zeros((2, size), np.int64)
+    for start in range(0, trials, _AUDIT_BATCH):
+        ts = range(start, min(start + _AUDIT_BATCH, trials))
+        draws = audit.TrialDraws(stats.spawn_uniforms((seed, 1), ts, 4))
         for i, (joint, joint_layout, spent) in enumerate(joints):
-            detected[i] += audit.report_prime(joint, joint_layout, "pattern", spent, rng) is None
-
-    counts, valid = [[0] * size, [0] * size], [0, 0]
-    for t in range(trials):
-        rng = stats.spawn_rng(seed, 2, t)
+            reports = audit.report_prime(joint, joint_layout, "pattern", spent, draws)
+            detected[i] += reports.count(None)
+        measure_draws = stats.spawn_uniforms((seed, 2), ts, 2)
         for i, (state, layout, spent) in enumerate(arms):
-            index, value = scheme.unwire(k, measure_register(state, layout, spent, rng))
-            counts[i][index - 1] += 1
-            valid[i] += secret.block(index) == value
+            wires = measure_register(state, layout, spent, measure_draws[:, i])
+            index, value = scheme.unwire(k, wires)
+            counts[i] += np.bincount(index - 1, minlength=size)
+            valid[i] += int(np.count_nonzero(secret.blocks(index) == value))
 
     p_detect = (1.0 - 2.0**-k) / 2.0
     chi2 = [stats.uniformity_passes(row)[:2] for row in counts]
@@ -510,8 +517,10 @@ def pattern_chain_sampled(seed: int, trials: int) -> tuple[int, int]:
     for t in range(trials):
         rng = stats.spawn_rng(seed, 7, t)
         chi = random_state(6, rng)
-        chain_bot += audit.report_chain(chi, _PATTERN_LAYOUT, rng) is None
-        prime_bot += audit.report_prime(chi, _PATTERN_LAYOUT, "p", "t1", rng) is None
+        # The two audits read at most 3 + 2 draws, the rest of this generator.
+        draws = audit.TrialDraws(rng.random((1, 5)))
+        chain_bot += audit.report_chain(chi, _PATTERN_LAYOUT, draws)[0] is None
+        prime_bot += audit.report_prime(chi, _PATTERN_LAYOUT, "p", "t1", draws)[0] is None
     return chain_bot, prime_bot
 
 

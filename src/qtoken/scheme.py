@@ -274,7 +274,7 @@ def report(token: SparseState, rng: np.random.Generator) -> tuple[int, int]:
     if token.num_qubits % 2 != 0:
         raise ValueError("token must have an even number of qubits")
     k = token.num_qubits // 2
-    return unwire(k, measure_register(token, _token_layout(k), "token", rng))
+    return unwire(k, int(measure_register(token, _token_layout(k), "token", rng.random())))
 
 
 def report_emulated(

@@ -26,6 +26,93 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return spawn_rng(master_seed, trial_index)
 
 
+# SeedSequence's hashmix and mixing constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (O'Neill, PCG, 2014); NEP 19 keeps both
+# streams stable across numpy releases.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+
+
+def _mulhi(a: np.ndarray, m: int) -> np.ndarray:
+    """High 64 bits of each ``a * m``, from 32-bit partial products."""
+    a0, a1, m0, m1 = a & _M32, a >> 32, m & _M32, m >> 32
+    lo, mid_a, mid_b = a0 * m0, a1 * m0, a0 * m1
+    carry = ((lo >> 32) + (mid_a & _M32) + (mid_b & _M32)) >> 32
+    return a1 * m1 + (mid_a >> 32) + (mid_b >> 32) + carry
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix: its multiplier advances by ``mult`` per call."""
+    hash_const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word with a hashed word."""
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * MULT + inc mod 2^128, on 64-bit limbs."""
+    new_lo = lo * _PCG_LO + inc_lo
+    carry = new_lo < inc_lo
+    return _mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO + inc_hi + carry, new_lo
+
+
+def spawn_uniforms(prefix: tuple[int, ...], ts: range, d: int) -> np.ndarray:
+    """Row ``i`` holds ``spawn_rng(*prefix, ts[i]).random(d)``, as one array.
+
+    The seeding and the first ``d`` outputs of every row's generator run as
+    32- and 64-bit array arithmetic, so no generator is built; the limb
+    temporaries take a few hundred bytes per row. A key element of 2^32 or
+    more spans several seed words; such keys build their generators one row
+    at a time.
+    """
+    if not all(0 <= x <= _M32 for x in (*prefix, *ts[:1], *ts[-1:])):
+        return np.array([spawn_rng(*prefix, t).random(d) for t in ts]).reshape(len(ts), d)
+    t = np.arange(ts.start, ts.stop, ts.step).astype(np.uint32)
+    key_words = [np.full(t.shape, x, np.uint32) for x in prefix] + [t]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # SeedSequence.mix_entropy: fill the pool, cross-mix it, fold in the rest.
+    zero = np.zeros_like(key_words[0])
+    pool = [hashmix(key_words[i] if i < len(key_words) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in key_words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words, paired little-endian.
+    hashout = _hasher(_INIT_B, _MULT_B)
+    words = [hashout(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    # pcg64_set_seed: inc = 2 * seq + 1, then step, add the seed, step.
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < seed_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((len(ts), d))
+    for j in range(d):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output, then random()'s 53-bit double.
+        rot, xored = hi >> 58, hi ^ lo
+        out[:, j] = ((xored >> rot | xored << (-rot & 63)) >> 11) * 2.0**-53
+    return out
+
+
 def binomial_sigma(p: float, trials: int) -> float:
     """Standard deviation of a proportion estimator under true rate ``p``."""
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)

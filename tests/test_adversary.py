@@ -184,7 +184,7 @@ def test_loaded_token_index_correlation():
     state, layout = adversary.mint_loaded(secret)
     rng = rng_for(7)
     for _ in range(100):
-        wire = core.measure_register(state, merged_layout(layout), "all", rng)
+        wire = core.measure_register(state, merged_layout(layout), "all", rng.random())
         index, _ = scheme.unwire(k, wire & ((1 << 2 * k) - 1))
         assert wire >> 2 * k == index - 1
 
@@ -199,7 +199,7 @@ def test_loaded_bank_flags_unrelated_user_rarely():
     trials = 20_000
     flagged = 0
     for _ in range(trials):
-        bank_index = core.measure_register(state, merged_layout(layout), "all", rng) >> 2 * k
+        bank_index = core.measure_register(state, merged_layout(layout), "all", rng.random()) >> 2 * k
         other_index, _ = scheme.report(honest, rng)
         flagged += bank_index == other_index - 1
     p = 2.0**-k
@@ -214,7 +214,7 @@ def test_loaded_message_distribution_is_honest():
     rng = rng_for(11)
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        index, value = scheme.unwire(k, core.measure_register(state, layout, "token", rng))
+        index, value = scheme.unwire(k, core.measure_register(state, layout, "token", rng.random()))
         assert secret.block(index) == value
         counts[index - 1] += 1
     _, _, ok = stats.uniformity_passes(counts)
@@ -228,7 +228,7 @@ def test_permutation_paired_outcomes_locked():
     perm = rng.permutation(1 << k)
     state, layout = adversary.mint_permutation_paired(secret, perm)
     for _ in range(100):
-        wire = core.measure_register(state, merged_layout(layout), "all", rng)
+        wire = core.measure_register(state, merged_layout(layout), "all", rng.random())
         i1, v1 = scheme.unwire(k, wire >> 2 * k)
         i2, v2 = scheme.unwire(k, wire & ((1 << 2 * k) - 1))
         assert secret.block(i1) == v1
@@ -242,7 +242,7 @@ def test_identity_permutation_repeats_the_index():
     state, layout = adversary.mint_permutation_paired(secret, list(range(1 << k)))
     rng = rng_for(14)
     for _ in range(50):
-        wire = core.measure_register(state, merged_layout(layout), "all", rng)
+        wire = core.measure_register(state, merged_layout(layout), "all", rng.random())
         assert wire >> 3 * k == (wire >> k) & ((1 << k) - 1)
 
 
@@ -260,7 +260,7 @@ def test_paired_marginal_message_distribution_is_honest():
     state, layout = adversary.mint_permutation_paired(secret, rng.permutation(1 << k))
     counts = np.zeros(1 << k, dtype=int)
     for _ in range(trials):
-        counts[core.measure_register(state, layout, "token1", rng) >> k] += 1
+        counts[core.measure_register(state, layout, "token1", rng.random()) >> k] += 1
     _, _, ok = stats.uniformity_passes(counts)
     assert ok
 

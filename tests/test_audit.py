@@ -14,6 +14,11 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
+def draws_for(seed, trials, d):
+    """A batch of ``trials`` audit trials with ``d`` uniform draws each."""
+    return audit.TrialDraws(rng_for(seed).random((trials, d)))
+
+
 def honest_joint(k, seed, extra_tokens=1):
     """Pattern plus identical honest tokens from one series."""
     secret = scheme.SecretString.random(k, rng_for(seed))
@@ -29,10 +34,8 @@ def honest_joint(k, seed, extra_tokens=1):
 def test_identical_tokens_never_flag_and_report_validly():
     k = 4
     secret, joint, layout = honest_joint(k, seed=1)
-    rng = rng_for(2)
     pattern_rho = core.reduced_density(joint, layout, "pattern")
-    for _ in range(40):
-        out = audit.report_prime(joint, layout, "pattern", "t1", rng)
+    for out in audit.report_prime(joint, layout, "pattern", "t1", draws_for(2, 40, 2)):
         assert out is not None
         index, value = out
         assert secret.block(index) == value
@@ -51,12 +54,9 @@ def test_orthogonal_token_flagged_half_the_time():
     joint = core.tensor(pattern, bogus)
     layout = core.RegisterLayout([("pattern", 2 * k), ("t1", 2 * k)])
     assert abs(audit.cheat_probability(joint, layout, "pattern", "t1") - 0.5) <= 1e-9
-    rng = rng_for(4)
     trials = 20_000
-    flagged = sum(
-        audit.report_prime(joint, layout, "pattern", "t1", rng) is None
-        for _ in range(trials)
-    )
+    reports = audit.report_prime(joint, layout, "pattern", "t1", draws_for(4, trials, 2))
+    flagged = sum(report is None for report in reports)
     assert abs(flagged / trials - 0.5) <= 3 * math.sqrt(0.25 / trials)
 
 
@@ -69,12 +69,9 @@ def test_loaded_token_detection_rate():
     layout = core.RegisterLayout([("pattern", 2 * k), ("bank", k), ("token", 2 * k)])
     expected = (1 - 2.0**-k) / 2
     assert abs(audit.cheat_probability(joint, layout, "pattern", "token") - expected) <= 1e-9
-    rng = rng_for(6)
     trials = 20_000
-    flagged = sum(
-        audit.report_prime(joint, layout, "pattern", "token", rng) is None
-        for _ in range(trials)
-    )
+    reports = audit.report_prime(joint, layout, "pattern", "token", draws_for(6, trials, 2))
+    flagged = sum(report is None for report in reports)
     assert abs(flagged / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
 
 
@@ -84,9 +81,7 @@ def test_loaded_token_detection_rate():
 def test_chain_on_identical_tokens():
     k = 2
     secret, joint, layout = honest_joint(k, seed=7, extra_tokens=2)
-    rng = rng_for(8)
-    for _ in range(20):
-        result = audit.report_chain(joint, layout, rng)
+    for result in audit.report_chain(joint, layout, draws_for(8, 20, 3)):
         assert result is not None
         index, value = result
         assert secret.block(index) == value
@@ -104,8 +99,9 @@ def orthogonal_last_joint(k, seed):
 
 @pytest.mark.parametrize("instance", ["honest", "first-test-aborts"])
 def test_chain_is_swap_tests_then_report_prime(instance):
-    """report_chain on [p, t1, t2] draws exactly what swap_test(p, t2) then
-    report_prime(p, t1) draws, in the same order, and reports the same."""
+    """report_chain on [p, t1, t2] reads exactly the draws that swap_test(p, t2)
+    then report_prime(p, t1) on the passed state read, in the same order, and
+    reports the same."""
     if instance == "honest":
         _, joint, layout = honest_joint(1, seed=21, extra_tokens=2)
     else:
@@ -113,14 +109,45 @@ def test_chain_is_swap_tests_then_report_prime(instance):
     p, t1, t2 = layout.names
     first_fired = set()
     for seed in range(20):
-        rng_chain, rng_hand = rng_for(seed), rng_for(seed)
-        chain = audit.report_chain(joint, layout, rng_chain)
-        state = core.swap_test(joint, layout, p, t2, rng_hand)
-        first_fired.add(state is None)
-        hand = None if state is None else audit.report_prime(state, layout, p, t1, rng_hand)
+        row = rng_for(seed).random((1, 3))
+        chain_draws, rest = audit.TrialDraws(row), audit.TrialDraws(row[:, 1:])
+        chain = audit.report_chain(joint, layout, chain_draws)
+        fired = core.swap_test(joint, layout, p, t2, row[0, 0])
+        first_fired.add(bool(fired))
+        state = core.swap_project(joint, layout, p, t2)
+        hand = [None] if fired else audit.report_prime(state, layout, p, t1, rest)
         assert chain == hand
-        assert rng_chain.random() == rng_hand.random()
+        assert chain_draws.cursor.tolist() == (1 + rest.cursor).tolist()
     assert first_fired == ({False} if instance == "honest" else {False, True})
+
+
+@pytest.mark.parametrize("instance", ["honest", "first-test-aborts", "random"])
+def test_a_batch_reports_and_reads_draws_like_its_rows_one_by_one(instance):
+    """report_chain then report_prime on one batch of N trials, as the suite
+    runs them: every row gets the reports, and reads as many draws in each
+    call, as it does alone in a batch of one."""
+    if instance == "honest":
+        _, joint, layout = honest_joint(1, seed=21, extra_tokens=2)
+    elif instance == "first-test-aborts":
+        joint, layout = orthogonal_last_joint(1, seed=22)
+    else:
+        layout = core.RegisterLayout([("p", 2), ("t1", 2), ("t2", 2)])
+        joint = core.random_state(6, rng_for(23))
+    p, t1, _ = layout.names
+
+    def audits(draws):
+        chain = audit.report_chain(joint, layout, draws)
+        read_by_chain = draws.cursor.copy()
+        prime = audit.report_prime(joint, layout, p, t1, draws)
+        return chain, prime, read_by_chain, draws.cursor
+
+    matrix = rng_for(24).random((200, 5))
+    batch = audits(audit.TrialDraws(matrix))
+    for i, row in enumerate(matrix):
+        alone = audits(audit.TrialDraws(row[None]))
+        assert [part[i] for part in batch] == [part[0] for part in alone]
+    chain_fired = {report is None for report in batch[0]}
+    assert chain_fired == ({False} if instance == "honest" else {False, True})
 
 
 def test_chain_aborts_on_orthogonal_register():
@@ -135,14 +162,14 @@ def test_chain_aborts_on_orthogonal_register():
     p_second = core.swap_probability(post, layout, "p", "t1")
     assert abs(exact - (p_first + (1 - p_first) * p_second)) <= 1e-9
 
-    rng = rng_for(10)
     trials = 20_000
-    aborts = sum(audit.report_chain(joint, layout, rng) is None for _ in range(trials))
+    aborts = sum(report is None for report in audit.report_chain(joint, layout,
+                                                                 draws_for(10, trials, 3)))
     assert abs(aborts / trials - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
 
 
 CHAINED_AUDITS = {
-    "report_chain": lambda chi, layout: audit.report_chain(chi, layout, rng_for(0)),
+    "report_chain": lambda chi, layout: audit.report_chain(chi, layout, draws_for(0, 1, 3)),
     "chain_cheat_probability": audit.chain_cheat_probability,
 }
 
@@ -182,8 +209,8 @@ def test_pattern_survives_sequential_audits():
     rng = rng_for(13)
     state = joint
     for token_name in ("t3", "t2", "t1"):
-        state = core.swap_test(state, layout, "pattern", token_name, rng)
-        assert state is not None
+        assert not core.swap_test(state, layout, "pattern", token_name, rng.random())
+        state = core.swap_project(state, layout, "pattern", token_name)
         rho = core.reduced_density(state, layout, "pattern")
         assert abs(pattern_vec.conj() @ rho.entries @ pattern_vec - 1.0) <= 1e-9
 
@@ -201,8 +228,10 @@ def test_audited_report_distribution_matches_plain_report():
     rng = rng_for(15)
     counts_audit = np.zeros(1 << k, dtype=int)
     counts_plain = np.zeros(1 << k, dtype=int)
+    draws = audit.TrialDraws(rng.random((trials, 2)))
+    for index, _ in audit.report_prime(joint, layout, "pattern", "t1", draws):
+        counts_audit[index - 1] += 1
     for _ in range(trials):
-        counts_audit[audit.report_prime(joint, layout, "pattern", "t1", rng)[0] - 1] += 1
         counts_plain[scheme.report(token, rng)[0] - 1] += 1
     stat, dof = refsim.chi_squared_two_sample(counts_audit, counts_plain)
     assert stat <= stats.chi2_critical(dof)
@@ -274,13 +303,14 @@ def test_heuristic_swapped_usage_distinguisher_respects_bound():
     wins = 0
     for _ in range(trials):
         side = int(rng.integers(1, 3))
-        state = chi if side == 1 else core.swap_test(chi, layout, "tok2", "tok1", rng)
+        fired = side == 2 and core.swap_test(chi, layout, "tok2", "tok1", rng.random())
+        state = chi if side == 1 else core.swap_project(chi, layout, "tok2", "tok1")
         # Heuristic guess: abort means audited; otherwise match the bank
         # register against the reported index.
-        if state is None:
+        if fired:
             guess = 2
         else:
-            wire = core.measure_register(state, merged, "tok1_bank", rng)
+            wire = int(core.measure_register(state, merged, "tok1_bank", rng.random()))
             index, _ = scheme.unwire(k, wire >> k)
             guess = 2 if wire & ((1 << k) - 1) == index - 1 else 1
         wins += guess == side

@@ -484,6 +484,46 @@ def test_a_created_log_has_its_directory_fsynced_before_any_record(tmp_path, mon
     assert [event for event in events if event[0] == "fsync"] == []
 
 
+@pytest.mark.parametrize("sync", [True, False], ids=["sync", "no-sync"])
+def test_a_torn_tail_cut_is_fsynced_before_the_log_reopens(tmp_path, monkeypatch, sync):
+    """With ``sync``, the cut of a torn final record is fsynced before the log
+    is reopened for append; without it, or with nothing to cut, no fsync runs."""
+    log = str(tmp_path / "bank.log")
+    service = bank.BankService(log, sync=False)
+    service.register_series(scheme.SecretString.random(4, rng_for(0), "s1"))
+    service.close()
+    size = os.path.getsize(log)
+    events = []
+    real_truncate, real_fsync, real_open_log = os.truncate, os.fsync, bank._open_log
+
+    def traced_truncate(path, length):
+        events.append(("truncate", length))
+        real_truncate(path, length)
+
+    def traced_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def traced_open_log(path, sync):
+        events.append(("reopen", os.path.getsize(path)))
+        return real_open_log(path, sync)
+
+    monkeypatch.setattr(os, "truncate", traced_truncate)
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(bank, "_open_log", traced_open_log)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for tail, expected in [(b"VERIFY s1 1", [("truncate", size)] + [("fsync", size)] * sync),
+                               (b"", [])]:
+            with open(log, "ab") as fh:
+                fh.write(tail)
+            events.clear()
+            service = bank.BankService.recover(log, sync=sync)
+            service.close()
+            assert events == expected + [("reopen", size)]
+            assert service.torn_bytes == len(tail)
+
+
 def test_interrupted_run_decisions_match_uninterrupted(tmp_path):
     """The same request stream produces identical decisions whether or not the
     service crashed and recovered halfway through."""
@@ -977,6 +1017,7 @@ def test_log_cut_at_any_byte_recovers_its_complete_records(requests, data):
             [f"{log}: cut {torn} torn bytes at byte offset {len(complete)}"] if torn else []
         )
         assert all_states(service) == expected
+        assert service.torn_bytes == torn
         service.register_series(OTHER_SECRET)
         assert service.handle("VERIFY", "m2", 1, OTHER_SECRET.block(1)).status == "OK"
         after = all_states(service)

@@ -219,8 +219,9 @@ def test_serve_refuses_a_tcp_port_out_of_range(tmp_path, capsys, port):
 
 
 def test_serve_reports_what_recovery_replayed_before_listening(tmp_path, capsys):
-    """The recovery line gives the series, the records replayed and the seconds
-    recovery took; ``listening on`` stays the last start-up line."""
+    """The recovery line gives the series, the records replayed, the torn bytes
+    cut and the seconds recovery took; ``listening on`` stays the last
+    start-up line."""
     log = tmp_path / "bank.log"
     assert cli.main(["mint", "--log", str(log), "--k", "4", "--series", "a"]) == 0
     assert cli.main(["mint", "--log", str(log), "--k", "4", "--series", "b"]) == 0
@@ -229,19 +230,24 @@ def test_serve_reports_what_recovery_replayed_before_listening(tmp_path, capsys)
     assert service.handle_line(sample[0]) == "OK"
     service.close()
 
-    sock = tmp_path / "bank.sock"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    server = subprocess.Popen(
-        [sys.executable, "-m", "qtoken.cli", "serve", "--log", str(log), "--socket", str(sock)],
-        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        err = [server.stderr.readline().rstrip("\n") for _ in range(2)]
-    finally:
-        server.kill()
-        server.communicate(timeout=30)
-    assert re.fullmatch(
-        rf"recovered 2 series from {re.escape(str(log))} "
-        r"\(3 records replayed in \d+\.\d{3} s\)", err[0]), err[0]
-    assert err[1] == f"listening on {sock}"
+    for tail in (b"", b"VERIFY b 1"):  # a clean log, then one with a torn final record
+        with open(log, "ab") as fh:
+            fh.write(tail)
+        sock = tmp_path / f"bank{len(tail)}.sock"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "qtoken.cli", "serve", "--log", str(log), "--socket", str(sock)],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            err = [server.stderr.readline().rstrip("\n")]
+            while not err[-1].startswith("listening on") and len(err) < 10:
+                err.append(server.stderr.readline().rstrip("\n"))
+        finally:
+            server.kill()
+            server.communicate(timeout=30)
+        assert re.fullmatch(
+            rf"recovered 2 series from {re.escape(str(log))} "
+            rf"\(3 records replayed, {len(tail)} torn bytes cut, in \d+\.\d{{3}} s\)", err[-2]), err
+        assert err[-1] == f"listening on {sock}"

@@ -18,6 +18,14 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
+def swap_sample(state, layout, reg_a, reg_b, draw):
+    """What a swap test at ``draw`` leaves: None when it fires, else the
+    symmetric projection."""
+    if core.swap_test(state, layout, reg_a, reg_b, draw):
+        return None
+    return core.swap_project(state, layout, reg_a, reg_b)
+
+
 def plus_state():
     s = 1 / math.sqrt(2)
     return core.SparseState(1, {0: s, 1: s})
@@ -75,7 +83,7 @@ def test_every_operation_preserves_normalization():
     for _ in range(20):
         state = core.random_state(4, rng)
         assert abs(np.linalg.norm(refsim.dense(state)) ** 2 - 1.0) <= TOL
-        post = core.swap_test(state, layout, "a", "b", rng)
+        post = swap_sample(state, layout, "a", "b", rng.random())
         if post is not None:
             assert abs(np.linalg.norm(refsim.dense(post)) ** 2 - 1.0) <= TOL
         post = core.swap_project(state, layout, "a", "b")
@@ -163,7 +171,8 @@ def test_inner_product_token_overlap_one_block_differs():
 def test_measure_basis_state_is_deterministic():
     layout = core.RegisterLayout([("all", 2)])
     for seed in range(5):
-        outcome = core.measure_register(core.SparseState(2, {0b01: 1.0}), layout, "all", rng_for(seed))
+        outcome = core.measure_register(core.SparseState(2, {0b01: 1.0}), layout, "all",
+                                       rng_for(seed).random())
         assert outcome == 0b01
 
 
@@ -175,7 +184,7 @@ def test_measure_second_register_after_collapse():
     layout = core.RegisterLayout([("index_value", 8)])
     rng = rng_for(10)
     for _ in range(50):
-        wire = core.measure_register(token, layout, "index_value", rng)
+        wire = core.measure_register(token, layout, "index_value", rng.random())
         assert wire & 0xF == secret.block((wire >> 4) + 1)
 
 
@@ -187,9 +196,8 @@ def test_measure_index_register_uniform():
     token = scheme.token_state(secret)
     layout = core.RegisterLayout([("index", k), ("value", k)])
     rng = rng_for(13)
-    counts = np.zeros(1 << k, dtype=int)
-    for _ in range(trials):
-        counts[core.measure_register(token, layout, "index", rng)] += 1
+    counts = np.bincount(core.measure_register(token, layout, "index", rng.random(trials)),
+                         minlength=1 << k)
     p = 2.0**-k
     sigma = math.sqrt(p * (1 - p) * trials)
     assert np.all(np.abs(counts - trials * p) <= 3 * sigma)
@@ -200,10 +208,8 @@ def test_measure_marginals_match_dense_oracle():
     layout = core.RegisterLayout([("a", 2), ("b", 3)])
     state = core.random_state(5, rng)
     probs = refsim.dense_register_probabilities(refsim.dense(state), layout, "b")
-    counts = np.zeros(8)
     trials = 40_000
-    for _ in range(trials):
-        counts[core.measure_register(state, layout, "b", rng)] += 1
+    counts = np.bincount(core.measure_register(state, layout, "b", rng.random(trials)), minlength=8)
     sigma = np.sqrt(np.maximum(probs * (1 - probs) * trials, 1.0))
     assert np.all(np.abs(counts - trials * probs) <= 4 * sigma)
 
@@ -268,10 +274,9 @@ def test_swap_test_identical_product_always_zero():
     phi = core.random_state(2, rng)
     joint = core.tensor(phi, phi)
     layout = core.RegisterLayout([("a", 2), ("b", 2)])
-    for _ in range(50):
-        post = core.swap_test(joint, layout, "a", "b", rng)
-        assert post is not None
-        assert dense_close(refsim.dense(post), refsim.dense(joint))
+    assert not core.swap_test(joint, layout, "a", "b", rng.random(50)).any()
+    post = core.swap_project(joint, layout, "a", "b")
+    assert dense_close(refsim.dense(post), refsim.dense(joint))
 
 
 def test_swap_probability_orthogonal_and_known_values():
@@ -318,14 +323,14 @@ def test_swap_test_projective_structure():
     seen = set()
     while seen != {True, False}:
         state = core.random_state(4, rng)
-        post_state = core.swap_test(state, layout, "a", "b", rng)
+        post_state = swap_sample(state, layout, "a", "b", rng.random())
         seen.add(post_state is None)
         if post_state is None:
             continue
         post = refsim.dense(post_state)
         assert dense_close(refsim.dense_swap(post, layout, "a", "b"), post)
         assert core.swap_probability(post_state, layout, "a", "b") <= TOL
-        repeat = core.swap_test(post_state, layout, "a", "b", rng)
+        repeat = swap_sample(post_state, layout, "a", "b", rng.random())
         assert repeat is not None
         assert dense_close(refsim.dense(repeat), post)
 
@@ -336,7 +341,7 @@ def test_swap_test_sampled_frequency():
     state = core.tensor(plus_state(), core.SparseState(1, {0: 1.0}))
     p1 = core.swap_probability(state, layout, "a", "b")
     trials = 20_000
-    hits = sum(core.swap_test(state, layout, "a", "b", rng) is None for _ in range(trials))
+    hits = np.count_nonzero(core.swap_test(state, layout, "a", "b", rng.random(trials)))
     assert abs(hits / trials - p1) <= 3 * math.sqrt(p1 * (1 - p1) / trials)
 
 
@@ -348,7 +353,7 @@ def test_swap_project_matches_swap_test_posts():
     assert core.swap_probability(post, layout, "a", "b") <= TOL
     passed = None
     while passed is None:
-        passed = core.swap_test(state, layout, "a", "b", rng)
+        passed = swap_sample(state, layout, "a", "b", rng.random())
     assert passed is post
 
 
@@ -576,7 +581,7 @@ def fresh(state):
     return core.SparseState(state.num_qubits, dict(state.amplitudes))
 
 
-def reference_measure(state, layout, reg, rng):
+def reference_measure(state, layout, reg, draw):
     """measure_register as an uncached walk: the first value whose running sum
     exceeds the draw, else the last value."""
     shift, mask = layout.shift(reg), layout.mask(reg)
@@ -584,7 +589,7 @@ def reference_measure(state, layout, reg, rng):
     for idx, amp in state.amplitudes.items():
         val = (idx >> shift) & mask
         weights[val] = weights.get(val, 0.0) + abs(amp) ** 2
-    x = rng.random() * sum(weights.values())
+    x = draw * sum(weights.values())
     acc = 0.0
     for outcome, w in weights.items():
         acc += w
@@ -605,13 +610,16 @@ def same_pass(got, want):
 @given(joint_states(), st.integers(0, 2**32 - 1))
 def test_memoised_measurement_matches_the_uncached_walk(case, seed):
     state, layout = case
-    rng, ref_rng = rng_for(seed), rng_for(seed)
+    rng = rng_for(seed)
     # Each register twice: the first call fills its memo entry, the second
-    # reads it; equal-width registers must not share an entry.
+    # reads it; equal-width registers must not share an entry. A batch of
+    # draws samples what the draws sample one by one.
     for reg in layout.names * 2:
-        assert core.measure_register(state, layout, reg, rng) == reference_measure(
-            state, layout, reg, ref_rng)
-        assert rng.random() == ref_rng.random()
+        draws = rng.random(5)
+        assert core.measure_register(state, layout, reg, draws[0]) == reference_measure(
+            state, layout, reg, draws[0])
+        assert core.measure_register(state, layout, reg, draws).tolist() == [
+            reference_measure(state, layout, reg, x) for x in draws]
 
 
 @settings(max_examples=60, deadline=None)
@@ -620,16 +628,16 @@ def test_memoised_swap_test_matches_the_exact_probability(case, seed):
     state, layout = case
     p1 = core.swap_probability(state, layout, "p", "t1")
     swapped = refsim.dense_swap(refsim.dense(state), layout, "p", "t1")
-    rng, ref_rng = rng_for(seed), rng_for(seed)
-    for _ in range(3):  # the first call fills the memo, the rest read it
-        post = core.swap_test(state, layout, "p", "t1", rng)
-        assert (post is None) == (ref_rng.random() < p1)
-        if post is None:
-            continue
+    draws = rng_for(seed).random(3)
+    # The first call fills the memo, the rest read it; a batch of draws
+    # samples what the draws sample one by one.
+    assert [core.swap_test(state, layout, "p", "t1", x) for x in draws] == (draws < p1).tolist()
+    assert core.swap_test(state, layout, "p", "t1", draws).tolist() == (draws < p1).tolist()
+    if p1 < 1 - 1e-15:
+        post = core.swap_project(state, layout, "p", "t1")
         assert same_pass(post, core.swap_project(fresh(state), layout, "p", "t1"))
         projected = (refsim.dense(state) + swapped) / 2
         assert dense_close(refsim.dense(post), projected / np.linalg.norm(projected))
-    assert rng.random() == ref_rng.random()
 
 
 @settings(max_examples=60, deadline=None)
@@ -641,12 +649,13 @@ def test_one_state_on_two_register_pairs_samples_like_two_copies(case, seed):
     copies = {pair: fresh(state) for pair in (("p", "t2"), ("p", "t1"))}
     rng, ref_rng = rng_for(seed), rng_for(seed)
     for pair in [("p", "t2"), ("p", "t1")] * 2:
-        got = core.swap_test(state, layout, *pair, rng)
-        want = core.swap_test(copies[pair], layout, *pair, ref_rng)
+        got = swap_sample(state, layout, *pair, rng.random())
+        want = swap_sample(copies[pair], layout, *pair, ref_rng.random())
         assert same_pass(got, want)
         if got is not None:
-            assert core.measure_register(got, layout, pair[1], rng) == core.measure_register(
-                fresh(want), layout, pair[1], ref_rng)
+            draw, ref_draw = rng.random(), ref_rng.random()
+            assert core.measure_register(got, layout, pair[1], draw) == core.measure_register(
+                fresh(want), layout, pair[1], ref_draw)
     assert rng.random() == ref_rng.random()
 
 
@@ -654,7 +663,7 @@ def test_one_state_on_two_register_pairs_samples_like_two_copies(case, seed):
 @given(joint_states(), st.integers(0, 2**32 - 1))
 def test_swap_project_after_swap_test_matches_a_fresh_copy(case, seed):
     state, layout = case
-    core.swap_test(state, layout, "t1", "t2", rng_for(seed))
+    core.swap_test(state, layout, "t1", "t2", rng_for(seed).random())
     if 1.0 - core.swap_probability(state, layout, "t1", "t2") < 1e-15:
         with pytest.raises(ValueError, match="zero weight"):
             core.swap_project(state, layout, "t1", "t2")
@@ -677,20 +686,11 @@ def test_post_states_memoise_like_constructed_states(case, seed):
         for _ in range(2):
             assert core.swap_probability(post, layout, "p", "t1") == core.swap_probability(
                 copy, layout, "p", "t1")
-            assert same_pass(core.swap_test(post, layout, "p", "t1", rng_for(seed)),
-                             core.swap_test(copy, layout, "p", "t1", rng_for(seed)))
-            assert core.measure_register(post, layout, "t2", rng_for(seed)) == core.measure_register(
-                copy, layout, "t2", rng_for(seed))
-
-
-class FixedDraw:
-    """Stands in for a generator whose every draw is ``value``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
+            draw = rng_for(seed).random()
+            assert core.swap_test(post, layout, "p", "t1", draw) == core.swap_test(
+                copy, layout, "p", "t1", draw)
+            assert core.measure_register(post, layout, "t2", draw) == core.measure_register(
+                copy, layout, "t2", draw)
 
 
 def test_a_draw_at_or_above_the_last_running_sum_takes_the_last_outcome():
@@ -700,6 +700,6 @@ def test_a_draw_at_or_above_the_last_running_sum_takes_the_last_outcome():
     # A draw of 1.0 lands on the total, which is not below the last running sum.
     assert sum(weights) >= list(accumulate(weights))[-1]
     for _ in range(2):
-        outcome = core.measure_register(state, layout, "all", FixedDraw(1.0))
-        assert outcome == 4 == reference_measure(state, layout, "all", FixedDraw(1.0))
-        assert core.measure_register(state, layout, "all", FixedDraw(0.0)) == 0
+        outcome = core.measure_register(state, layout, "all", 1.0)
+        assert outcome == 4 == reference_measure(state, layout, "all", 1.0)
+        assert core.measure_register(state, layout, "all", 0.0) == 0

@@ -128,14 +128,20 @@ def test_every_random_stream_of_a_run_is_distinct(monkeypatch, scenario):
     pad a key up to the SeedSequence pool size change nothing, so (s,) and
     (s, 0) are one stream."""
     keys = []
-    spawn = stats.spawn_rng
+    spawn, uniforms = stats.spawn_rng, stats.spawn_uniforms
 
     def recording(*key):
         keys.append(key)
         return spawn(*key)
 
-    # trial_rng derives through spawn_rng, so every stream passes here.
+    def recording_rows(prefix, ts, d):
+        keys.extend((*prefix, t) for t in ts)
+        return uniforms(prefix, ts, d)
+
+    # trial_rng derives through spawn_rng, and row t of spawn_uniforms is the
+    # stream (*prefix, t), so every stream passes here.
     monkeypatch.setattr(stats, "spawn_rng", recording)
+    monkeypatch.setattr(stats, "spawn_uniforms", recording_rows)
     run(scenario, trials=3, seed=3)
     states = {tuple(np.random.SeedSequence(list(key)).generate_state(4)) for key in keys}
     assert len(keys) > 1 and len(states) == len(keys)

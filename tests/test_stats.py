@@ -1,4 +1,5 @@
-"""Statistics helpers: the chi-squared critical value, and what start-up loads."""
+"""Statistics helpers: trial streams as arrays, the chi-squared critical value,
+and what start-up loads."""
 
 import os
 import subprocess
@@ -6,8 +7,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoken import stats
 
@@ -51,3 +55,22 @@ def test_only_a_scenario_run_loads_scipy(tmp_path, run):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# Seeds below 2^32 take the array path; larger ones build generators row by row.
+key_elements = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(key_elements, min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+       st.integers(0, 40), st.integers(1, 8))
+def test_spawn_uniforms_are_the_spawned_generators_draws(prefix, start, trials, d):
+    """Row i is spawn_rng(*prefix, t).random(d) for the i-th t of the range,
+    bit for bit, for empty ranges, ranges that start above 0 and ranges that
+    reach past 2^32."""
+    ts = range(start, start + trials)
+    want = np.array([stats.spawn_rng(*prefix, t).random(d) for t in ts]).reshape(len(ts), d)
+    got = stats.spawn_uniforms(tuple(prefix), ts, d)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
