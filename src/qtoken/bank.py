@@ -22,9 +22,9 @@ Recovery replays every record through the same decision logic and refuses to
 start if a replayed decision disagrees with the logged one, which is how log
 corruption is detected; the no-change records of older logs replay to no
 change. Bytes after the last newline are a torn record, never answered
-because its write never finished: recovery cuts them off with a warning and
-never replays them. A bad record that ends in a newline is refused with its
-line and byte offset.
+because its write never finished: recovery cuts them off, counts them in
+``torn_bytes`` and never replays them. A bad record that ends in a newline is
+refused with its line and byte offset.
 
 Wire protocol (one ASCII request per line, whitespace-separated fields,
 binary payloads hex-encoded lowercase; a line longer than 4 KiB, its newline
@@ -50,7 +50,6 @@ import os
 import socketserver
 import stat
 import threading
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -147,9 +146,6 @@ class BankService:
             with open(log_path, "rb") as fh:
                 for line_no, raw in enumerate(fh, start=1):
                     if not raw.endswith(b"\n"):
-                        warnings.warn(
-                            f"{log_path}: cut {len(raw)} torn bytes at byte offset {offset}"
-                        )
                         os.truncate(log_path, offset)
                         if sync:
                             os.fsync(fh.fileno())

@@ -71,19 +71,38 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return _mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO + inc_hi + carry, new_lo
 
 
+def _words(x: int) -> list[int]:
+    """``x`` as ``SeedSequence`` reads it: little-endian 32-bit words, 0 as one."""
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    return [x & _M32, *(_words(x >> 32) if x >> 32 else ())]
+
+
 def spawn_uniforms(prefix: tuple[int, ...], ts: range, d: int) -> np.ndarray:
     """Row ``i`` holds ``spawn_rng(*prefix, ts[i]).random(d)``, as one array.
 
     The seeding and the first ``d`` outputs of every row's generator run as
-    32- and 64-bit array arithmetic, so no generator is built; the limb
-    temporaries take a few hundred bytes per row. A key element of 2^32 or
-    more spans several seed words; such keys build their generators one row
-    at a time.
+    32- and 64-bit array arithmetic for keys of any size, so no generator is
+    built; the limb temporaries take a few hundred bytes per row.
     """
-    if not all(0 <= x <= _M32 for x in (*prefix, *ts[:1], *ts[-1:])):
-        return np.array([spawn_rng(*prefix, t).random(d) for t in ts]).reshape(len(ts), d)
-    t = np.arange(ts.start, ts.stop, ts.step).astype(np.uint32)
-    key_words = [np.full(t.shape, x, np.uint32) for x in prefix] + [t]
+    head = [word for x in prefix for word in _words(x)]
+    out, i = np.empty((len(ts), d)), 0
+    while i < len(ts):
+        # Past its low word, t's seed words stay the same up to a multiple of 2^32.
+        high = ts[i] >> 32
+        edge = (high + 1 << 32) if ts.step > 0 else (high << 32) - 1
+        rows = min(len(range(ts[i], edge, ts.step)), len(ts) - i)
+        # One column of seed words per row: the prefix's, then t's, low word first.
+        key = [*head, *_words(ts[i])]
+        key_words = np.repeat(np.array(key, np.uint32)[:, None], rows, axis=1)
+        key_words[len(head)] += np.arange(rows, dtype=np.uint32) * (ts.step & _M32)
+        _first_doubles(out[i:i + rows], key_words)
+        i += rows
+    return out
+
+
+def _first_doubles(out: np.ndarray, key_words: np.ndarray) -> None:
+    """Fill ``out`` with the first doubles of the generator each column seeds."""
     hashmix = _hasher(_INIT_A, _MULT_A)
     # SeedSequence.mix_entropy: fill the pool, cross-mix it, fold in the rest.
     zero = np.zeros_like(key_words[0])
@@ -104,13 +123,11 @@ def spawn_uniforms(prefix: tuple[int, ...], ts: range, d: int) -> np.ndarray:
     lo = inc_lo + seed_lo
     hi = inc_hi + seed_hi + (lo < seed_lo)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((len(ts), d))
-    for j in range(d):
+    for j in range(out.shape[1]):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output, then random()'s 53-bit double.
         rot, xored = hi >> 58, hi ^ lo
         out[:, j] = ((xored >> rot | xored << (-rot & 63)) >> 11) * 2.0**-53
-    return out
 
 
 def binomial_sigma(p: float, trials: int) -> float:

@@ -511,17 +511,15 @@ def test_a_torn_tail_cut_is_fsynced_before_the_log_reopens(tmp_path, monkeypatch
     monkeypatch.setattr(os, "truncate", traced_truncate)
     monkeypatch.setattr(os, "fsync", traced_fsync)
     monkeypatch.setattr(bank, "_open_log", traced_open_log)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for tail, expected in [(b"VERIFY s1 1", [("truncate", size)] + [("fsync", size)] * sync),
-                               (b"", [])]:
-            with open(log, "ab") as fh:
-                fh.write(tail)
-            events.clear()
-            service = bank.BankService.recover(log, sync=sync)
-            service.close()
-            assert events == expected + [("reopen", size)]
-            assert service.torn_bytes == len(tail)
+    for tail, expected in [(b"VERIFY s1 1", [("truncate", size)] + [("fsync", size)] * sync),
+                           (b"", [])]:
+        with open(log, "ab") as fh:
+            fh.write(tail)
+        events.clear()
+        service = bank.BankService.recover(log, sync=sync)
+        service.close()
+        assert events == expected + [("reopen", size)]
+        assert service.torn_bytes == len(tail)
 
 
 def test_interrupted_run_decisions_match_uninterrupted(tmp_path):
@@ -987,9 +985,9 @@ def all_states(service):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(request_strategy, max_size=40), st.data())
 def test_log_cut_at_any_byte_recovers_its_complete_records(requests, data):
-    """Bytes after the last newline are a torn record: recovery cuts them off
-    with a warning and never replays them, and the log recovers again after
-    more records are appended."""
+    """Bytes after the last newline are a torn record: recovery cuts them off,
+    counts them in ``torn_bytes`` without a warning, and never replays them,
+    and the log recovers again after more records are appended."""
     with tempfile.TemporaryDirectory() as tmp:
         log = os.path.join(tmp, "bank.log")
         service = bank.BankService(log_path=log, sync=False)
@@ -1009,15 +1007,11 @@ def test_log_cut_at_any_byte_recovers_its_complete_records(requests, data):
         replayed.close()
 
         os.truncate(log, cut)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             service = bank.BankService.recover(log, sync=False)
-        torn = cut - len(complete)
-        assert [str(w.message) for w in caught] == (
-            [f"{log}: cut {torn} torn bytes at byte offset {len(complete)}"] if torn else []
-        )
         assert all_states(service) == expected
-        assert service.torn_bytes == torn
+        assert service.torn_bytes == cut - len(complete)
         service.register_series(OTHER_SECRET)
         assert service.handle("VERIFY", "m2", 1, OTHER_SECRET.block(1)).status == "OK"
         after = all_states(service)

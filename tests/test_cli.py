@@ -221,7 +221,7 @@ def test_serve_refuses_a_tcp_port_out_of_range(tmp_path, capsys, port):
 def test_serve_reports_what_recovery_replayed_before_listening(tmp_path, capsys):
     """The recovery line gives the series, the records replayed, the torn bytes
     cut and the seconds recovery took; ``listening on`` stays the last
-    start-up line."""
+    start-up line, and a torn log prints no warning."""
     log = tmp_path / "bank.log"
     assert cli.main(["mint", "--log", str(log), "--k", "4", "--series", "a"]) == 0
     assert cli.main(["mint", "--log", str(log), "--k", "4", "--series", "b"]) == 0
@@ -251,3 +251,4 @@ def test_serve_reports_what_recovery_replayed_before_listening(tmp_path, capsys)
             rf"recovered 2 series from {re.escape(str(log))} "
             rf"\(3 records replayed, {len(tail)} torn bytes cut, in \d+\.\d{{3}} s\)", err[-2]), err
         assert err[-1] == f"listening on {sock}"
+        assert not [line for line in err if "Warning" in line], err

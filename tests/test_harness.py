@@ -99,6 +99,24 @@ def test_inequality_suite_small():
             assert m.passed, m
 
 
+# Benchmark call i of seed n runs at seed n*1000 + i: from n = 4,294,968 that
+# is a seed of two 32-bit words. This is call 0 of that first seed.
+TWO_WORD_CALL_SEED = 4_294_968 * 1000
+
+
+@pytest.mark.parametrize("run_tiny", [
+    lambda seed: run("forgery", k=16, trials=5, seed=seed),
+    lambda seed: run("tracking-audit", k=4, trials=20, seed=seed),
+    lambda seed: harness.run_inequality_suite(seed, harness.SuiteSizes(5, 5, 5, 5, 5, 5)),
+], ids=["forgery", "tracking-audit", "inequality-suite"])
+def test_benchmarked_scenarios_at_a_two_word_call_seed(run_tiny):
+    """Every row has its expected pass flag at a seed past 2^32, where the
+    benchmark runs: only projection_chain_violation is red."""
+    assert TWO_WORD_CALL_SEED >= 2**32
+    for m in run_tiny(TWO_WORD_CALL_SEED).metrics:
+        assert m.passed == (m.metric != "projection_chain_violation"), m
+
+
 LARGEST_K = {
     "honest-flow": 8, "adversarial-history": 8, "tracking-audit": 8,
     "forgery": 20, "otp-roundtrip": 20, "voting": 20,
