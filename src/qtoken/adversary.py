@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import RegisterLayout, SparseState, uniform_state
-from .scheme import SchemeParams, SecretString, btest, report_emulated, token_wires
+from .scheme import SchemeParams, SecretString, btest, read_blocks, token_wires
 
 # name: (policy, measured tokens q). A row's position keys its RNG streams in
 # the forgery scenario, so new forgers go at the end.
@@ -50,12 +50,13 @@ def run_forgery(
     """Play the forger ``name`` in ``FORGERS`` once per (secret, rng) round, all
     at one k; returns (accepted per round, submitted in all).
 
-    In each round the forger measures its q honest tokens (via the emulated
-    honest sampler). A replay forger then resubmits those q pairs; every
-    other forger fills the series' attempt budget cap_test with guesses per
-    its policy. A round draws from its own generator as ``rounds`` yields it,
-    so a lazy ``rounds`` holds one secret at a time. Up to ``_BATCH_ROWS``
-    rounds then go through one ``btest``, each row a fresh ledger of its own
+    In each round the forger measures its q honest tokens (the emulated
+    honest sampler's uniform indices). A replay forger then resubmits those q
+    pairs; every other forger fills the series' attempt budget cap_test with
+    guesses per its policy. A round draws from its own generator as
+    ``rounds`` yields it. Up to ``_BATCH_ROWS`` rounds then have every true
+    block they touch read at once (``read_blocks``, which refuses secrets of
+    mixed k) and go through one ``btest``, each row a fresh ledger of its own
     series; a round is a win when more reports are accepted than tokens were
     measured.
     """
@@ -63,36 +64,51 @@ def run_forgery(
     rounds = iter(rounds)
     accepted, submitted = [np.zeros(0, dtype=np.int64)], 0
     while True:
-        rows = []
+        secrets, rows = [], []
         for secret, rng in itertools.islice(rounds, _BATCH_ROWS):
-            indices, values = _submissions(secret, policy, q, rng)
-            rows.append((indices, values, secret.blocks(indices)))
+            secrets.append(secret)
+            rows.append(_submissions(secret.k, policy, q, rng))
         if not rows:
             return np.concatenate(accepted), submitted
-        indices, values, blocks = (np.stack(column) for column in zip(*rows))
-        # Every round is at one k, so the last round's secret sets it.
-        accepted.append(np.count_nonzero(btest(secret, indices, values, blocks), axis=1))
+        indices, guesses = (np.stack(column) for column in zip(*rows))
+        blocks = read_blocks(secrets, indices)
+        source = _value_sources(policy, q, indices.shape[1])
+        values = np.where(source < 0, guesses, blocks[:, np.maximum(source, 0)])
+        accepted.append(np.count_nonzero(btest(secrets[0], indices, values, blocks), axis=1))
         submitted += indices.size
 
 
 def _submissions(
-    secret: SecretString, policy: str, q: int, rng: np.random.Generator
+    k: int, policy: str, q: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One round's submitted (indices, values): its q measured pairs first."""
-    indices, values = report_emulated(secret, rng, q)
+    """One round's submitted indices, its q measured pairs first, and its
+    drawn guesses, 0 at each position whose value ``_value_sources`` copies."""
+    # report_emulated's index draw, without reading the measured blocks.
+    indices = rng.integers(0, 1 << k, size=q) + 1
     if policy == "replay":
-        return np.concatenate([indices, indices]), np.concatenate([values, values])
-    extra = SchemeParams.for_k(secret.k).cap_test - q
+        return np.concatenate([indices, indices]), np.zeros(2 * q, dtype=np.uint64)
+    extra = SchemeParams.for_k(k).cap_test - q
     # Distinct uniform indices minus the (at most q) measured ones are
     # uniform over the unmeasured indices, and at least ``extra`` remain.
-    fresh = rng.choice(1 << secret.k, extra + q, replace=False) + 1
+    fresh = rng.choice(1 << k, extra + q, replace=False) + 1
     for index in indices:
         fresh = fresh[fresh != index]
+    guesses = np.zeros(extra + q, dtype=np.uint64)
     if policy == "uniform-fresh-index":
-        guesses = rng.integers(0, 1 << secret.k, size=extra, dtype=np.uint64)
-    else:  # block-collision: bet that another block repeats a seen value
-        guesses = values[np.arange(extra) % q]
-    return np.concatenate([indices, fresh[:extra]]), np.concatenate([values, guesses])
+        guesses[q:] = rng.integers(0, 1 << k, size=extra, dtype=np.uint64)
+    return np.concatenate([indices, fresh[:extra]]), guesses
+
+
+def _value_sources(policy: str, q: int, width: int) -> np.ndarray:
+    """Per submitted position, the position whose true block is submitted
+    there, or -1 for a drawn guess: measured pairs are their own blocks, a
+    replay copies them, and block-collision bets that another block repeats
+    a seen value."""
+    measured = np.arange(q)
+    if policy == "replay":
+        return np.concatenate([measured, measured])
+    extra = np.full(width - q, -1) if policy == "uniform-fresh-index" else np.arange(width - q) % q
+    return np.concatenate([measured, extra])
 
 
 def eval_forgery_bound(n_reports: int, q: int, y_size: int) -> float:

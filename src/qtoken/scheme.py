@@ -26,6 +26,7 @@ large-k Monte Carlo runs affordable.
 from __future__ import annotations
 
 import re
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import RegisterLayout, SparseState, measure_register, uniform_state
+from .stats import _pcg_outputs
 
 
 class MintCapExceeded(UserWarning):
@@ -77,12 +79,15 @@ class SecretString:
     [k*(i-1), k*i). Hex serialization packs the blocks back into the flat
     bit string of k * 2^k bits.
 
-    The table is stored as words whose top bits are the blocks: block i is
-    word i shifted right by ``_shift``. A table drawn by ``random`` keeps the
-    generator's raw 32-bit words, so a read shifts only the words it touches.
+    The table is held as words whose top bits are the blocks: block i is word
+    i shifted right by ``_shift``. A secret that ``random`` draws from a PCG64
+    holds only the generator's start state instead: its words are the 32-bit
+    halves of the 2^(k-1) raw outputs from there, low half first. They are
+    rebuilt once, on the first read of this one secret; ``read_blocks`` reads
+    a batch of such secrets by jumping to each output, without the tables.
     """
 
-    __slots__ = ("k", "series_id", "_words", "_shift")
+    __slots__ = ("k", "series_id", "_words", "_shift", "_start")
 
     def __init__(self, k: int, blocks: Sequence[int] | np.ndarray, series_id: str = "s0"):
         if k < 1:
@@ -98,6 +103,7 @@ class SecretString:
         self.series_id = series_id
         self._words = arr.astype(np.uint64, copy=False)
         self._shift = 0
+        self._start = None
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator, series_id: str = "s0") -> SecretString:
@@ -107,32 +113,47 @@ class SecretString:
         Lemire's multiply-shift: each block is the top k bits of one 32-bit
         word, and each 64-bit PCG64 output gives two words, low half first.
         So when ``rng`` draws from a PCG64 holding no pending 32-bit half, the
-        table is read straight from 2^(k-1) raw outputs; it is the same table
-        and leaves the generator in the same state. Any other generator, or a
-        PCG64 with a pending half, goes through ``integers`` itself.
+        table is the next 2^(k-1) raw outputs: the secret keeps the start
+        state, and ``advance`` leaves the generator where drawing them would.
+        Any other generator, or a PCG64 with a pending half, goes through
+        ``integers`` itself.
         """
         bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64 or k > 32 or bitgen.state["has_uint32"]:
+        state = bitgen.state if type(bitgen) is np.random.PCG64 and k <= 32 else None
+        if state is None or state["has_uint32"]:
             return cls(k, rng.integers(0, 1 << k, size=1 << k, dtype=np.uint64), series_id)
         # The shift bounds every block, so the constructor's range check is moot.
         secret = cls.__new__(cls)
         secret.k = k
         secret.series_id = series_id
-        # Little-endian bytes put each output's low half first on any host.
-        secret._words = bitgen.random_raw(1 << (k - 1)).astype("<u8", copy=False).view("<u4")
+        secret._words = None
         secret._shift = 32 - k
+        secret._start = state["state"]
+        bitgen.advance(1 << (k - 1))
         return secret
+
+    def _table(self) -> np.ndarray:
+        """The words, rebuilt from the start state on first use."""
+        if self._words is None:
+            with _REPLAY_LOCK:
+                replay = _replay()
+                replay.state = {"bit_generator": "PCG64", "state": self._start,
+                                "has_uint32": 0, "uinteger": 0}
+                raw = replay.random_raw(1 << (self.k - 1))
+            # Little-endian bytes put each output's low half first on any host.
+            self._words = raw.astype("<u8", copy=False).view("<u4")
+        return self._words
 
     def block(self, index: int) -> int:
         """Value of block ``index`` (1-based)."""
-        if not 1 <= index <= self._words.size:
+        if not 1 <= index <= 1 << self.k:
             raise ValueError(f"block index {index} out of range")
-        return int(self._words[index - 1]) >> self._shift
+        return int(self._table()[index - 1]) >> self._shift
 
     def blocks(self, indices=None) -> np.ndarray:
         """The ``uint64`` values of the blocks at the 1-based ``indices``, an
         array of any shape, or the whole table when ``indices`` is None."""
-        words = self._words
+        words = self._table()
         if indices is not None:
             idx = np.asarray(indices)
             if idx.size and (idx.min() < 1 or idx.max() > words.size):
@@ -162,6 +183,60 @@ class SecretString:
         words = np.zeros((1 << k, 32), dtype=np.uint8)
         words[:, 32 - k:] = bits.reshape(-1, k)
         return cls(k, np.packbits(words).view(">u4").astype(np.uint64), series_id)
+
+
+_REPLAY_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _replay() -> np.random.PCG64:
+    """The one generator that replays every table ``SecretString._table``
+    rebuilds: a fresh PCG64 costs about five times a k=8 replay. It is built
+    on first use, as loading ``numpy.random`` adds about 6 MB to a process
+    such as the bank's, which never draws a secret."""
+    return np.random.PCG64()
+
+
+# Secrets per limb pass of ``read_blocks``: at k=16 a pass over 256 forgery
+# rounds took about 4 MB more peak memory than passes of 32, at the same speed.
+_READ_ROWS = 32
+
+
+def read_blocks(secrets: Sequence[SecretString], indices) -> np.ndarray:
+    """Row r holds ``secrets[r].blocks(indices[r])``, for secrets of one k.
+
+    A secret ``random`` drew from a PCG64 is read from its start state: the
+    n-th raw output is the state n LCG steps on, one jump (``stats._pcg_jumps``),
+    so its table is never built. Any other secret is read from its table.
+    Secrets of mixed k, or an index outside [1, 2^k], raise ``ValueError``.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 2 or idx.shape[0] != len(secrets):
+        raise ValueError("indices need one row per secret")
+    if len({secret.k for secret in secrets}) > 1:
+        raise ValueError("a batch read needs secrets of one k")
+    out = np.empty(idx.shape, dtype=np.uint64)
+    if not idx.size:
+        return out
+    k = secrets[0].k
+    if idx.min() < 1 or idx.max() > 1 << k:
+        raise ValueError(f"block index out of range [1, {1 << k}]")
+    jumped, starts = [], []
+    for r, secret in enumerate(secrets):
+        if secret._start is None:
+            out[r] = secret.blocks(idx[r])
+        else:
+            jumped.append(r)
+            state, inc = secret._start["state"], secret._start["inc"]
+            starts.append((*divmod(state, 1 << 64), *divmod(inc, 1 << 64)))
+    for c in range(0, len(jumped), _READ_ROWS):
+        rows = jumped[c:c + _READ_ROWS]
+        start = np.array(starts[c:c + _READ_ROWS], dtype=np.uint64).T[..., None]
+        # Block i is half (i-1) % 2 of output (i-1) // 2 + 1, cut to its top k bits.
+        pos = idx[rows].astype(np.uint64) - 1
+        raw = _pcg_outputs(start, (pos >> 1) + 1, 1 << (k - 1))
+        out[rows] = (raw >> ((pos & 1) << 5) + (32 - k)) & ((1 << k) - 1)
+    return out
 
 
 def wire(k: int, index: int, value: int) -> int:

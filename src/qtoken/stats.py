@@ -8,6 +8,7 @@ significance 0.001" means the statistic stays below the 0.999 quantile.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,11 +65,53 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> 16)
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * MULT + inc mod 2^128, on 64-bit limbs."""
-    new_lo = lo * _PCG_LO + inc_lo
-    carry = new_lo < inc_lo
-    return _mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO + inc_hi + carry, new_lo
+def _muladd(a_hi, a_lo, b_hi, b_lo, c_hi, c_lo):
+    """``a * b + c mod 2^128`` on 64-bit limbs; ``b`` and ``c`` may be Python ints.
+
+    One PCG64 LCG step is ``_muladd(state, _PCG_HI, _PCG_LO, inc)``.
+    """
+    lo = a_lo * b_lo + c_lo
+    carry = lo < c_lo
+    return _mulhi(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo + c_hi + carry, lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's XSL-RR output of a state: its halves XORed, rotated right by its top 6 bits."""
+    rot, xored = hi >> 58, hi ^ lo
+    return xored >> rot | xored << (-rot & 63)
+
+
+@functools.lru_cache(maxsize=None)
+def _pcg_jumps(most: int) -> np.ndarray:
+    """Column ``n - 1`` holds the limbs ``(A_hi, A_lo, G_hi, G_lo)`` of PCG64's
+    n-step jump for n up to ``most``: n steps take state s to
+    ``A * s + G * inc mod 2^128`` (Brown, "Random Number Generation with
+    Arbitrary Strides", 1994, the jump ``PCG64.advance`` makes).
+
+    The table fills by doubling, A_(m+j) = A_m * A_j and
+    G_(m+j) = A_m * G_j + G_m, in log2(most) array passes; it takes 32 bytes
+    per column.
+    """
+    table = np.empty((4, most), dtype=np.uint64)
+    table[:, 0] = _PCG_HI, _PCG_LO, 0, 1
+    m = 1
+    while m < most:
+        j = min(m, most - m)
+        a_hi, a_lo, g_hi, g_lo = (int(limb) for limb in table[:, m - 1])
+        table[:2, m:m + j] = _muladd(*table[:2, :j], a_hi, a_lo, 0, 0)
+        table[2:, m:m + j] = _muladd(*table[2:, :j], a_hi, a_lo, g_hi, g_lo)
+        m += j
+    return table
+
+
+def _pcg_outputs(start: np.ndarray, steps: np.ndarray, most: int) -> np.ndarray:
+    """PCG64's ``steps``-th raw output (1-based, at most ``most``) from each
+    start state; ``start`` stacks the limbs ``(s_hi, s_lo, inc_hi, inc_lo)``
+    on its first axis and broadcasts against ``steps``."""
+    a_hi, a_lo, g_hi, g_lo = _pcg_jumps(most)[:, steps - 1]
+    s_hi, s_lo, inc_hi, inc_lo = start
+    hi, lo = _muladd(g_hi, g_lo, inc_hi, inc_lo, 0, 0)
+    return _xsl_rr(*_muladd(a_hi, a_lo, s_hi, s_lo, hi, lo))
 
 
 def _words(x: int) -> list[int]:
@@ -122,12 +165,10 @@ def _first_doubles(out: np.ndarray, key_words: np.ndarray) -> None:
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     lo = inc_lo + seed_lo
     hi = inc_hi + seed_hi + (lo < seed_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _muladd(hi, lo, _PCG_HI, _PCG_LO, inc_hi, inc_lo)
     for j in range(out.shape[1]):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR output, then random()'s 53-bit double.
-        rot, xored = hi >> 58, hi ^ lo
-        out[:, j] = ((xored >> rot | xored << (-rot & 63)) >> 11) * 2.0**-53
+        hi, lo = _muladd(hi, lo, _PCG_HI, _PCG_LO, inc_hi, inc_lo)
+        out[:, j] = (_xsl_rr(hi, lo) >> 11) * 2.0**-53  # random()'s 53-bit double
 
 
 def binomial_sigma(p: float, trials: int) -> float:

@@ -169,6 +169,24 @@ def test_forgery_batches_decide_as_rounds_of_one(monkeypatch):
     assert accepted.tolist() == np.concatenate(alone).tolist()
 
 
+def test_forgery_refuses_rounds_of_mixed_k():
+    """Replay submits 2q pairs at any k, so rounds of two k's stack into one
+    batch; its read refuses them rather than deciding both at one k."""
+    rng = rng_for(22)
+    rounds = [(scheme.SecretString.random(k, rng), rng) for k in (8, 4)]
+    with pytest.raises(ValueError, match="one k"):
+        adversary.run_forgery("replay", rounds)
+
+
+def test_forgery_builds_no_secret_table():
+    """A forger reads only the blocks it submits at, from each secret's start state."""
+    rng = rng_for(23)
+    secrets = [scheme.SecretString.random(16, rng) for _ in range(3)]
+    for name in adversary.FORGERS:
+        adversary.run_forgery(name, [(secret, rng) for secret in secrets])
+    assert all(secret._words is None for secret in secrets)
+
+
 # -- tracking banks ----------------------------------------------------------------
 
 

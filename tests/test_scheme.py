@@ -147,6 +147,62 @@ def test_secret_block_bounds():
         secret.block(17)
 
 
+def drawn_secret(k, kind, seed):
+    """A secret of one series: ``pcg64`` holds a start state, every other kind a table."""
+    if kind == "pcg64":
+        rng, ref = rng_for(seed), rng_for(seed)
+        secret = scheme.SecretString.random(k, rng)
+        # The draw leaves the generator where the raw table would.
+        ref.bit_generator.random_raw(1 << (k - 1))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        return secret
+    if kind == "philox":
+        return scheme.SecretString.random(k, np.random.Generator(np.random.Philox(seed)))
+    if kind == "pending":
+        rng = rng_for(seed)
+        rng.integers(0, 2**32, dtype=np.uint32)
+        return scheme.SecretString.random(k, rng)
+    if kind == "hex":
+        return scheme.SecretString.from_hex(k, scheme.SecretString.random(k, rng_for(seed)).to_hex())
+    return scheme.SecretString(k, rng_for(seed).integers(0, 1 << k, size=1 << k, dtype=np.uint64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.sampled_from([4, 8, 12, 16, 20]), data=st.data())
+def test_batched_jump_reads_are_the_table(k, data):
+    """Each row of a batch read is its secret's table at the row's indices:
+    the first and last blocks, both halves of one raw output and drawn
+    indices, over rows of distinct series, start states mixed with tables."""
+    rows = data.draw(st.integers(1, 36), label="rows")
+    kinds = data.draw(st.lists(st.sampled_from(["pcg64", "pcg64", "philox", "pending", "hex", "blocks"]),
+                               min_size=rows, max_size=rows), label="kinds")
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows, max_size=rows, unique=True),
+                      label="seeds")
+    width = data.draw(st.integers(0, 6), label="width")
+    word = st.integers(0, (1 << (k - 1)) - 1)
+    indices = np.array([[1, 1 << k, 2 * w + 1, 2 * w + 2,
+                         *data.draw(st.lists(st.integers(1, 1 << k), min_size=width, max_size=width))]
+                        for w in data.draw(st.lists(word, min_size=rows, max_size=rows))])
+    secrets = [drawn_secret(k, kind, seed) for kind, seed in zip(kinds, seeds)]
+    got = scheme.read_blocks(secrets, indices)
+    # The read builds no table for a secret that holds its start state.
+    assert [secret._words is None for secret in secrets] == [kind == "pcg64" for kind in kinds]
+    assert got.dtype == np.uint64
+    for secret, row, want in zip(secrets, indices, got):
+        assert np.array_equal(secret.blocks()[row - 1], want)
+
+
+def test_batch_read_refuses_mixed_k_and_bad_indices():
+    secrets = [scheme.SecretString.random(k, rng_for(k)) for k in (8, 4)]
+    with pytest.raises(ValueError, match="one k"):
+        scheme.read_blocks(secrets, np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="one row per secret"):
+        scheme.read_blocks(secrets[:1], np.ones((2, 3), dtype=np.int64))
+    for bad in (0, 257):
+        with pytest.raises(ValueError, match="out of range"):
+            scheme.read_blocks(secrets[:1], [[1, bad]])
+
+
 # -- reports -------------------------------------------------------------------------
 
 

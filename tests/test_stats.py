@@ -57,6 +57,30 @@ def test_only_a_scenario_run_loads_scipy(tmp_path, run):
     assert done.returncode == 0, done.stderr
 
 
+def test_a_recovered_bank_loads_no_numpy_random(tmp_path):
+    """A bank that recovers its series from a log and decides on them never
+    loads ``numpy.random`` (about 6 MB resident): only a drawn secret's table
+    is replayed on a generator, and the bank draws none."""
+    code = textwrap.dedent(f"""
+        import sys
+        import qtoken, qtoken.cli
+        from qtoken import bank, scheme
+
+        log = {str(tmp_path / "bank.log")!r}
+        service = bank.BankService(log)
+        service.register_series(scheme.SecretString(8, list(range(256)), "s1"))
+        service.close()
+        service = bank.BankService.recover(log)
+        assert service.handle_line("VERIFY s1 3 02") == "OK", service.handle_line("VERIFY s1 3 02")
+        service.close()
+        assert "numpy.random" not in sys.modules
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 # Key elements of one to five seed words, and ranges that start low, cross 2^32,
 # or start past 2^64: each row's seed words are the prefix's, then t's.
 key_elements = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**128 - 1))
