@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import RegisterLayout, SparseState, uniform_state
-from .scheme import SchemeParams, SecretString, btest, read_blocks, token_wires
+from .scheme import SchemeParams, SecretString, btest, read_blocks, skip_secret, token_wires
 
 # name: (policy, measured tokens q). A row's position keys its RNG streams in
 # the forgery scenario, so new forgers go at the end.
@@ -45,36 +45,37 @@ _BATCH_ROWS = 256
 
 
 def run_forgery(
-    name: str, rounds: Iterable[tuple[SecretString, np.random.Generator]]
+    name: str, k: int, rngs: Iterable[np.random.Generator]
 ) -> tuple[np.ndarray, int]:
-    """Play the forger ``name`` in ``FORGERS`` once per (secret, rng) round, all
-    at one k; returns (accepted per round, submitted in all).
+    """Play the forger ``name`` in ``FORGERS`` once per generator, each a
+    round at security level k; returns (accepted per round, submitted in all).
 
-    In each round the forger measures its q honest tokens (the emulated
-    honest sampler's uniform indices). A replay forger then resubmits those q
-    pairs; every other forger fills the series' attempt budget cap_test with
-    guesses per its policy. A round draws from its own generator as
-    ``rounds`` yields it. Up to ``_BATCH_ROWS`` rounds then have every true
-    block they touch read at once (``read_blocks``, which refuses secrets of
-    mixed k) and go through one ``btest``, each row a fresh ledger of its own
-    series; a round is a win when more reports are accepted than tokens were
-    measured.
+    A round's series secret is ``SecretString.random(k, rng)``, and its
+    forger then measures its q honest tokens (the emulated honest sampler's
+    uniform indices). A replay forger resubmits those q pairs; every other
+    forger fills the series' attempt budget cap_test with guesses per its
+    policy. The secret is only skipped (``skip_secret``): up to
+    ``_BATCH_ROWS`` rounds have every true block they touch read at once
+    (``read_blocks``) and go through one ``btest``, each row a fresh ledger
+    of its own series; a round is a win when more reports are accepted than
+    tokens were measured. A generator must be fresh enough to hold no pending
+    32-bit half (``skip_secret`` refuses one), so rounds do not share one.
     """
     policy, q = FORGERS[name]
-    rounds = iter(rounds)
+    rngs = iter(rngs)
     accepted, submitted = [np.zeros(0, dtype=np.int64)], 0
     while True:
-        secrets, rows = [], []
-        for secret, rng in itertools.islice(rounds, _BATCH_ROWS):
-            secrets.append(secret)
-            rows.append(_submissions(secret.k, policy, q, rng))
+        starts, rows = [], []
+        for rng in itertools.islice(rngs, _BATCH_ROWS):
+            starts.append(skip_secret(k, rng))
+            rows.append(_submissions(k, policy, q, rng))
         if not rows:
             return np.concatenate(accepted), submitted
         indices, guesses = (np.stack(column) for column in zip(*rows))
-        blocks = read_blocks(secrets, indices)
+        blocks = read_blocks(k, starts, indices)
         source = _value_sources(policy, q, indices.shape[1])
         values = np.where(source < 0, guesses, blocks[:, np.maximum(source, 0)])
-        accepted.append(np.count_nonzero(btest(secrets[0], indices, values, blocks), axis=1))
+        accepted.append(np.count_nonzero(btest(k, indices, values, blocks), axis=1))
         submitted += indices.size
 
 

@@ -250,8 +250,7 @@ def _run_forgery_scenario(spec: ScenarioSpec) -> tuple[MetricResult, ...]:
         # Each forger draws from its own streams, keyed by its table position.
         stream = list(adversary.FORGERS).index(name)
         rngs = (stats.spawn_rng(seed, stream, t) for t in range(trials))
-        rounds = ((scheme.SecretString.random(k, rng), rng) for rng in rngs)
-        accepted, _ = adversary.run_forgery(name, rounds)
+        accepted, _ = adversary.run_forgery(name, k, rngs)
         wins = int(np.count_nonzero(accepted > measured))
         bound = adversary.eval_forgery_bound(params.cap_test, measured, 1 << k)
         metrics.append(

@@ -26,7 +26,6 @@ large-k Monte Carlo runs affordable.
 from __future__ import annotations
 
 import re
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,17 +76,11 @@ class SecretString:
 
     Block i (1-based) is the substring of the secret at bit offsets
     [k*(i-1), k*i). Hex serialization packs the blocks back into the flat
-    bit string of k * 2^k bits.
-
-    The table is held as words whose top bits are the blocks: block i is word
-    i shifted right by ``_shift``. A secret that ``random`` draws from a PCG64
-    holds only the generator's start state instead: its words are the 32-bit
-    halves of the 2^(k-1) raw outputs from there, low half first. They are
-    rebuilt once, on the first read of this one secret; ``read_blocks`` reads
-    a batch of such secrets by jumping to each output, without the tables.
+    bit string of k * 2^k bits. The table is a read-only ``uint64`` copy of
+    the blocks it was built from.
     """
 
-    __slots__ = ("k", "series_id", "_words", "_shift", "_start")
+    __slots__ = ("k", "series_id", "_blocks")
 
     def __init__(self, k: int, blocks: Sequence[int] | np.ndarray, series_id: str = "s0"):
         if k < 1:
@@ -101,65 +94,29 @@ class SecretString:
             raise ValueError(f"block value out of range for k={k}")
         self.k = k
         self.series_id = series_id
-        self._words = arr.astype(np.uint64, copy=False)
-        self._shift = 0
-        self._start = None
+        self._blocks = arr.astype(np.uint64)
+        self._blocks.flags.writeable = False
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator, series_id: str = "s0") -> SecretString:
-        """A uniform secret: the table ``rng.integers(0, 2^k, size=2^k, dtype=uint64)``.
-
-        ``integers`` over a power-of-two range 2^k <= 2^32 never rejects under
-        Lemire's multiply-shift: each block is the top k bits of one 32-bit
-        word, and each 64-bit PCG64 output gives two words, low half first.
-        So when ``rng`` draws from a PCG64 holding no pending 32-bit half, the
-        table is the next 2^(k-1) raw outputs: the secret keeps the start
-        state, and ``advance`` leaves the generator where drawing them would.
-        Any other generator, or a PCG64 with a pending half, goes through
-        ``integers`` itself.
-        """
-        bitgen = rng.bit_generator
-        state = bitgen.state if type(bitgen) is np.random.PCG64 and k <= 32 else None
-        if state is None or state["has_uint32"]:
-            return cls(k, rng.integers(0, 1 << k, size=1 << k, dtype=np.uint64), series_id)
-        # The shift bounds every block, so the constructor's range check is moot.
-        secret = cls.__new__(cls)
-        secret.k = k
-        secret.series_id = series_id
-        secret._words = None
-        secret._shift = 32 - k
-        secret._start = state["state"]
-        bitgen.advance(1 << (k - 1))
-        return secret
-
-    def _table(self) -> np.ndarray:
-        """The words, rebuilt from the start state on first use."""
-        if self._words is None:
-            with _REPLAY_LOCK:
-                replay = _replay()
-                replay.state = {"bit_generator": "PCG64", "state": self._start,
-                                "has_uint32": 0, "uinteger": 0}
-                raw = replay.random_raw(1 << (self.k - 1))
-            # Little-endian bytes put each output's low half first on any host.
-            self._words = raw.astype("<u8", copy=False).view("<u4")
-        return self._words
+        """A uniform secret: the table ``rng.integers(0, 2^k, size=2^k, dtype=uint64)``."""
+        return cls(k, rng.integers(0, 1 << k, size=1 << k, dtype=np.uint64), series_id)
 
     def block(self, index: int) -> int:
         """Value of block ``index`` (1-based)."""
         if not 1 <= index <= 1 << self.k:
             raise ValueError(f"block index {index} out of range")
-        return int(self._table()[index - 1]) >> self._shift
+        return int(self._blocks[index - 1])
 
     def blocks(self, indices=None) -> np.ndarray:
         """The ``uint64`` values of the blocks at the 1-based ``indices``, an
-        array of any shape, or the whole table when ``indices`` is None."""
-        words = self._table()
-        if indices is not None:
-            idx = np.asarray(indices)
-            if idx.size and (idx.min() < 1 or idx.max() > words.size):
-                raise ValueError(f"block index out of range [1, {words.size}]")
-            words = words[idx - 1]
-        return (words >> self._shift).astype(np.uint64, copy=False)
+        array of any shape, or the whole read-only table when ``indices`` is None."""
+        if indices is None:
+            return self._blocks
+        idx = np.asarray(indices)
+        if idx.size and (idx.min() < 1 or idx.max() > self._blocks.size):
+            raise ValueError(f"block index out of range [1, {self._blocks.size}]")
+        return self._blocks[idx - 1]
 
     def to_hex(self) -> str:
         k = self.k
@@ -185,16 +142,28 @@ class SecretString:
         return cls(k, np.packbits(words).view(">u4").astype(np.uint64), series_id)
 
 
-_REPLAY_LOCK = threading.Lock()
+def skip_secret(k: int, rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """Move ``rng`` past the secret ``SecretString.random(k, rng)`` would draw,
+    without drawing it; returns the PCG64 start limbs
+    ``(s_hi, s_lo, inc_hi, inc_lo)`` that ``read_blocks`` reads it from.
 
-
-@lru_cache(maxsize=None)
-def _replay() -> np.random.PCG64:
-    """The one generator that replays every table ``SecretString._table``
-    rebuilds: a fresh PCG64 costs about five times a k=8 replay. It is built
-    on first use, as loading ``numpy.random`` adds about 6 MB to a process
-    such as the bank's, which never draws a secret."""
-    return np.random.PCG64()
+    ``integers`` over a power-of-two range 2^k <= 2^32 never rejects under
+    Lemire's multiply-shift: each block is the top k bits of one 32-bit word,
+    and each 64-bit PCG64 output gives two words, low half first. So from a
+    PCG64 holding no pending 32-bit half the table is the next 2^(k-1) raw
+    outputs, and ``advance`` leaves the generator where drawing them would.
+    Any other bit generator, a pending half, or k outside [1, 32] raises
+    ``ValueError``.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64 or not 1 <= k <= 32:
+        raise ValueError("only a PCG64 secret of 1 <= k <= 32 can be skipped")
+    state = bitgen.state
+    if state["has_uint32"]:
+        raise ValueError("the generator holds a pending 32-bit half")
+    bitgen.advance(1 << (k - 1))
+    start = state["state"]
+    return (*divmod(start["state"], 1 << 64), *divmod(start["inc"], 1 << 64))
 
 
 # Secrets per limb pass of ``read_blocks``: at k=16 a pass over 256 forgery
@@ -202,40 +171,29 @@ def _replay() -> np.random.PCG64:
 _READ_ROWS = 32
 
 
-def read_blocks(secrets: Sequence[SecretString], indices) -> np.ndarray:
-    """Row r holds ``secrets[r].blocks(indices[r])``, for secrets of one k.
+def read_blocks(k: int, starts, indices) -> np.ndarray:
+    """Row r holds the blocks at the 1-based ``indices[r]`` of the secret
+    ``skip_secret`` skipped at start limbs ``starts[r]``.
 
-    A secret ``random`` drew from a PCG64 is read from its start state: the
-    n-th raw output is the state n LCG steps on, one jump (``stats._pcg_jumps``),
-    so its table is never built. Any other secret is read from its table.
-    Secrets of mixed k, or an index outside [1, 2^k], raise ``ValueError``.
+    Its n-th raw output is the state n LCG steps on, one jump
+    (``stats._pcg_jumps``), so no table is built. An index outside [1, 2^k]
+    raises ``ValueError``.
     """
     idx = np.asarray(indices)
-    if idx.ndim != 2 or idx.shape[0] != len(secrets):
-        raise ValueError("indices need one row per secret")
-    if len({secret.k for secret in secrets}) > 1:
-        raise ValueError("a batch read needs secrets of one k")
+    if idx.ndim != 2 or idx.shape[0] != len(starts):
+        raise ValueError("indices need one row per start state")
     out = np.empty(idx.shape, dtype=np.uint64)
     if not idx.size:
         return out
-    k = secrets[0].k
     if idx.min() < 1 or idx.max() > 1 << k:
         raise ValueError(f"block index out of range [1, {1 << k}]")
-    jumped, starts = [], []
-    for r, secret in enumerate(secrets):
-        if secret._start is None:
-            out[r] = secret.blocks(idx[r])
-        else:
-            jumped.append(r)
-            state, inc = secret._start["state"], secret._start["inc"]
-            starts.append((*divmod(state, 1 << 64), *divmod(inc, 1 << 64)))
-    for c in range(0, len(jumped), _READ_ROWS):
-        rows = jumped[c:c + _READ_ROWS]
-        start = np.array(starts[c:c + _READ_ROWS], dtype=np.uint64).T[..., None]
-        # Block i is half (i-1) % 2 of output (i-1) // 2 + 1, cut to its top k bits.
-        pos = idx[rows].astype(np.uint64) - 1
-        raw = _pcg_outputs(start, (pos >> 1) + 1, 1 << (k - 1))
-        out[rows] = (raw >> ((pos & 1) << 5) + (32 - k)) & ((1 << k) - 1)
+    limbs = np.array(starts, dtype=np.uint64).T[..., None]
+    # Block i is half (i-1) % 2 of output (i-1) // 2 + 1, cut to its top k bits.
+    pos = idx.astype(np.uint64) - 1
+    for c in range(0, len(pos), _READ_ROWS):
+        rows = slice(c, c + _READ_ROWS)
+        raw = _pcg_outputs(limbs[:, rows], (pos[rows] >> 1) + 1, 1 << (k - 1))
+        out[rows] = (raw >> ((pos[rows] & 1) << 5) + (32 - k)) & ((1 << k) - 1)
     return out
 
 
@@ -363,23 +321,21 @@ def report_emulated(
     return indices, secret.blocks(indices)
 
 
-def btest(secret: SecretString, indices, values, blocks=None) -> np.ndarray:
+def btest(k: int, indices, values, blocks) -> np.ndarray:
     """Run (index, value) pairs through fresh ledgers at once: one row, one ledger.
 
     ``indices`` and ``values`` are 1-d for one ledger, a batch of one row, or
-    2-d with a fresh ledger per row. Returns one acceptance flag per position,
-    as a sequential ``Ledger`` would decide each row: a pair is accepted when
-    its value is the block at its index and it is the first submission of its
-    wire form in its row, since every submission is spent whether or not it is
-    accepted. ``blocks``, when given, holds the true block at each position,
-    so rows may come from different series of ``secret``'s k; otherwise every
-    row is checked against ``secret``.
+    2-d with a fresh ledger per row, and ``blocks`` holds the true block at
+    each position, so rows may come from different series of one k. Returns
+    one acceptance flag per position, as a sequential ``Ledger`` would decide
+    each row: a pair is accepted when its value is the block at its index and
+    it is the first submission of its wire form in its row, since every
+    submission is spent whether or not it is accepted.
 
     A row never exceeds the attempt budget, so the budget needs no check per
     pair. An index outside [1, 2^k] or a value outside [0, 2^k) raises
     ``ValueError``.
     """
-    k = secret.k
     cap = SchemeParams.for_k(k).cap_test
     idx = np.asarray(indices, dtype=np.int64)
     val = np.asarray(values, dtype=np.int64)
@@ -394,7 +350,7 @@ def btest(secret: SecretString, indices, values, blocks=None) -> np.ndarray:
         raise ValueError(f"block index out of range [1, {size}]")
     if val.min() < 0 or val.max() >= size:
         raise ValueError(f"report value out of range [0, {size})")
-    truth = secret.blocks(idx) if blocks is None else np.asarray(blocks)
+    truth = np.asarray(blocks)
     if truth.shape != idx.shape:
         raise ValueError("blocks must match the shape of indices")
     # A stable sort per row puts each wire form's first submission first; no

@@ -15,6 +15,11 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
+def round_rngs(seed, count):
+    """One fresh generator per forgery round, lazily, as the scenario keys them."""
+    return (stats.spawn_rng(seed, t) for t in range(count))
+
+
 # -- bound calculators ---------------------------------------------------------
 
 
@@ -54,12 +59,9 @@ def test_all_correct_bound_monotone_in_value_space():
 
 
 def test_replay_never_wins():
-    rng = rng_for(1)
-    for _ in range(300):
-        secret = scheme.SecretString.random(8, rng)
-        (accepted,), submitted = adversary.run_forgery("replay", [(secret, rng)])
-        assert submitted == 2
-        assert accepted == 1  # the replayed copy is always rejected
+    accepted, submitted = adversary.run_forgery("replay", 8, round_rngs(1, 300))
+    assert submitted == 2 * 300
+    assert accepted.tolist() == [1] * 300  # the replayed copy is always rejected
 
 
 def test_uniform_guess_win_rate_matches_exact_union():
@@ -69,24 +71,17 @@ def test_uniform_guess_win_rate_matches_exact_union():
     budget = scheme.SchemeParams.for_k(k).cap_test
     expected = 1 - (1 - 2.0**-k) ** budget
     trials = 20_000
-    rng = rng_for(2)
-    wins = 0
-    for _ in range(trials):
-        secret = scheme.SecretString.random(k, rng)
-        (accepted,), _ = adversary.run_forgery("uniform-guess", [(secret, rng)])
-        wins += accepted > 0
+    accepted, _ = adversary.run_forgery("uniform-guess", k, round_rngs(2, trials))
+    wins = np.count_nonzero(accepted > 0)
     assert abs(wins / trials - expected) <= 3 * math.sqrt(expected * (1 - expected) / trials)
 
 
 def test_measured_tokens_always_accepted():
     k = 8
-    rng = rng_for(3)
-    for _ in range(200):
-        secret = scheme.SecretString.random(k, rng)
-        (accepted,), submitted = adversary.run_forgery("measure-and-guess-2", [(secret, rng)])
-        assert submitted == 16  # cap_test at k=8
-        # Measured pairs are valid; they can only collide with each other.
-        assert accepted >= 1
+    accepted, submitted = adversary.run_forgery("measure-and-guess-2", k, round_rngs(3, 200))
+    assert submitted == 16 * 200  # cap_test at k=8
+    # Measured pairs are valid; they can only collide with each other.
+    assert accepted.min() >= 1
 
 
 def test_block_collision_policy_respects_bound():
@@ -94,27 +89,24 @@ def test_block_collision_policy_respects_bound():
     params = scheme.SchemeParams.for_k(k)
     bound = adversary.eval_forgery_bound(params.cap_test, 1, 1 << k)
     trials = 10_000
-    rng = rng_for(4)
-    wins = 0
-    for _ in range(trials):
-        secret = scheme.SecretString.random(k, rng)
-        (accepted,), _ = adversary.run_forgery("block-collision", [(secret, rng)])
-        wins += accepted > 1
+    accepted, _ = adversary.run_forgery("block-collision", k, round_rngs(4, trials))
+    wins = np.count_nonzero(accepted > 1)
     p_hat = wins / trials
     assert p_hat <= bound + 3 * math.sqrt(max(p_hat, 1 / trials) * (1 - p_hat) / trials)
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])
 def test_block_collision_guesses_use_distinct_unmeasured_indices(k):
-    """On an all-zero secret every guess carries a valid value, so the whole
-    budget is accepted exactly when no guess repeats an index or reuses the
-    measured one."""
+    """A block-collision round submits cap_test distinct indices: the measured
+    one first, then fresh ones that avoid it."""
     cap = scheme.SchemeParams.for_k(k).cap_test
-    secret = scheme.SecretString(k, np.zeros(1 << k, dtype=np.uint64))
+    policy, q = adversary.FORGERS["block-collision"]
     rng = rng_for(5)
     for _ in range(20):
-        accepted, submitted = adversary.run_forgery("block-collision", [(secret, rng)])
-        assert accepted.tolist() == [cap] and submitted == cap
+        indices, guesses = adversary._submissions(k, policy, q, rng)
+        assert len(indices) == cap and len(set(indices.tolist())) == cap
+        assert indices[0] not in indices[q:]
+        assert 1 <= indices.min() and indices.max() <= 1 << k
 
 
 # sha256 of the comma-joined accepted count of every round, each forger on the
@@ -140,8 +132,7 @@ ACCEPTED_DIGESTS = [
 def test_forgery_keeps_its_accepted_count_per_round(k, trials, name, digest):
     stream = list(adversary.FORGERS).index(name)
     rngs = (stats.spawn_rng(3, stream, t) for t in range(trials))
-    rounds = ((scheme.SecretString.random(k, rng), rng) for rng in rngs)
-    accepted, _ = adversary.run_forgery(name, rounds)
+    accepted, _ = adversary.run_forgery(name, k, rngs)
     text = ",".join(map(str, accepted.tolist()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -153,38 +144,41 @@ def test_forgery_batches_decide_as_rounds_of_one(monkeypatch):
     count = 2 * batch + 3
     rows = []
 
-    def counting_btest(secret, indices, values, blocks=None):
+    def counting_btest(k, indices, values, blocks):
         rows.append(len(indices))
-        return scheme.btest(secret, indices, values, blocks)
+        return scheme.btest(k, indices, values, blocks)
 
     monkeypatch.setattr(adversary, "btest", counting_btest)
-    rng = rng_for(9)
-    rounds = ((scheme.SecretString.random(k, rng), rng) for _ in range(count))
-    accepted, submitted = adversary.run_forgery("measure-and-guess-1", rounds)
+    accepted, submitted = adversary.run_forgery("measure-and-guess-1", k, round_rngs(9, count))
     assert rows == [batch, batch, 3]
     assert submitted == count * scheme.SchemeParams.for_k(k).cap_test
-    rng = rng_for(9)
-    alone = [adversary.run_forgery("measure-and-guess-1", [(scheme.SecretString.random(k, rng), rng)])[0]
-             for _ in range(count)]
+    alone = [adversary.run_forgery("measure-and-guess-1", k, [rng])[0] for rng in round_rngs(9, count)]
     assert accepted.tolist() == np.concatenate(alone).tolist()
 
 
-def test_forgery_refuses_rounds_of_mixed_k():
-    """Replay submits 2q pairs at any k, so rounds of two k's stack into one
-    batch; its read refuses them rather than deciding both at one k."""
-    rng = rng_for(22)
-    rounds = [(scheme.SecretString.random(k, rng), rng) for k in (8, 4)]
-    with pytest.raises(ValueError, match="one k"):
-        adversary.run_forgery("replay", rounds)
+def test_forgery_decides_without_drawing_a_secret(monkeypatch):
+    """A round reads its secret only at the blocks it touches, and each round
+    is decided as against the table ``SecretString.random`` draws from its
+    generator."""
+    k, count = 8, 40
+    want = {}
+    for name, (policy, q) in adversary.FORGERS.items():
+        want[name] = []
+        for rng in round_rngs(23, count):
+            secret = scheme.SecretString.random(k, rng)
+            indices, guesses = adversary._submissions(k, policy, q, rng)
+            source = adversary._value_sources(policy, q, len(indices))
+            truth = secret.blocks(indices)
+            values = np.where(source < 0, guesses, truth[np.maximum(source, 0)])
+            want[name].append(int(np.count_nonzero(scheme.btest(k, indices, values, truth))))
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a forgery round drew its secret table")
 
-def test_forgery_builds_no_secret_table():
-    """A forger reads only the blocks it submits at, from each secret's start state."""
-    rng = rng_for(23)
-    secrets = [scheme.SecretString.random(16, rng) for _ in range(3)]
+    monkeypatch.setattr(scheme.SecretString, "random", classmethod(refuse))
     for name in adversary.FORGERS:
-        adversary.run_forgery(name, [(secret, rng) for secret in secrets])
-    assert all(secret._words is None for secret in secrets)
+        accepted, _ = adversary.run_forgery(name, k, round_rngs(23, count))
+        assert accepted.tolist() == want[name]
 
 
 # -- tracking banks ----------------------------------------------------------------

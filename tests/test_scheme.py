@@ -99,9 +99,9 @@ def test_secret_refuses_a_table_of_non_block_values(blocks):
 
 @pytest.mark.parametrize("k", range(1, 21))
 def test_secret_draw_is_the_integers_table(k):
-    """The raw-word draw gives the table and the generator state that
-    ``integers`` gives, on PCG64 and on both fallbacks: another bit
-    generator, and a PCG64 holding a pending 32-bit half."""
+    """The draw is the table ``integers`` gives and leaves the generator where
+    ``integers`` leaves it, on PCG64, on another bit generator, and on a PCG64
+    holding a pending 32-bit half."""
     seeds = np.random.default_rng(1000 + k).integers(0, 2**63, size=3).tolist()
     for seed in seeds:
         for make, pending in (
@@ -119,6 +119,17 @@ def test_secret_draw_is_the_integers_table(k):
             assert np.array_equal(secret.blocks(), want)
             assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
             assert rng.random() == ref.random()
+
+
+def test_secret_keeps_its_own_read_only_table():
+    """The secret copies the table it is built from, and its table cannot be written."""
+    arr = np.zeros(16, dtype=np.uint64)
+    secret = scheme.SecretString(4, arr)
+    arr[0] = 9
+    assert secret.block(1) == 0
+    for table in (secret.blocks(), scheme.SecretString.random(4, rng_for(4)).blocks()):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,60 +158,52 @@ def test_secret_block_bounds():
         secret.block(17)
 
 
-def drawn_secret(k, kind, seed):
-    """A secret of one series: ``pcg64`` holds a start state, every other kind a table."""
-    if kind == "pcg64":
-        rng, ref = rng_for(seed), rng_for(seed)
-        secret = scheme.SecretString.random(k, rng)
-        # The draw leaves the generator where the raw table would.
-        ref.bit_generator.random_raw(1 << (k - 1))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        return secret
-    if kind == "philox":
-        return scheme.SecretString.random(k, np.random.Generator(np.random.Philox(seed)))
-    if kind == "pending":
-        rng = rng_for(seed)
-        rng.integers(0, 2**32, dtype=np.uint32)
-        return scheme.SecretString.random(k, rng)
-    if kind == "hex":
-        return scheme.SecretString.from_hex(k, scheme.SecretString.random(k, rng_for(seed)).to_hex())
-    return scheme.SecretString(k, rng_for(seed).integers(0, 1 << k, size=1 << k, dtype=np.uint64))
-
-
 @settings(max_examples=25, deadline=None)
-@given(k=st.sampled_from([4, 8, 12, 16, 20]), data=st.data())
+@given(k=st.sampled_from([1, 4, 8, 12, 16, 20]), data=st.data())
 def test_batched_jump_reads_are_the_table(k, data):
-    """Each row of a batch read is its secret's table at the row's indices:
-    the first and last blocks, both halves of one raw output and drawn
-    indices, over rows of distinct series, start states mixed with tables."""
+    """Row r of a batch read from ``skip_secret``'s start limbs is the table
+    ``SecretString.random`` draws from the same generator, at the row's
+    indices: the first and last blocks, both halves of one raw output and
+    drawn indices, over generators keyed at and past 2^32. ``skip_secret``
+    leaves the generator where the draw leaves it."""
     rows = data.draw(st.integers(1, 36), label="rows")
-    kinds = data.draw(st.lists(st.sampled_from(["pcg64", "pcg64", "philox", "pending", "hex", "blocks"]),
-                               min_size=rows, max_size=rows), label="kinds")
-    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows, max_size=rows, unique=True),
-                      label="seeds")
+    keys = data.draw(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**40)),
+                              min_size=rows, max_size=rows, unique=True), label="keys")
     width = data.draw(st.integers(0, 6), label="width")
     word = st.integers(0, (1 << (k - 1)) - 1)
     indices = np.array([[1, 1 << k, 2 * w + 1, 2 * w + 2,
                          *data.draw(st.lists(st.integers(1, 1 << k), min_size=width, max_size=width))]
                         for w in data.draw(st.lists(word, min_size=rows, max_size=rows))])
-    secrets = [drawn_secret(k, kind, seed) for kind, seed in zip(kinds, seeds)]
-    got = scheme.read_blocks(secrets, indices)
-    # The read builds no table for a secret that holds its start state.
-    assert [secret._words is None for secret in secrets] == [kind == "pcg64" for kind in kinds]
-    assert got.dtype == np.uint64
-    for secret, row, want in zip(secrets, indices, got):
-        assert np.array_equal(secret.blocks()[row - 1], want)
+    starts = []
+    for key, row in zip(keys, indices):
+        rng, ref = stats.spawn_rng(*key), stats.spawn_rng(*key)
+        starts.append(scheme.skip_secret(k, rng))
+        want = scheme.SecretString.random(k, ref).blocks(row)
+        assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        got = scheme.read_blocks(k, starts[-1:], row[None])
+        assert got.dtype == np.uint64 and got[0].tolist() == want.tolist()
+    got = scheme.read_blocks(k, starts, indices)
+    for key, row, read in zip(keys, indices, got):
+        assert read.tolist() == scheme.SecretString.random(k, stats.spawn_rng(*key)).blocks(row).tolist()
 
 
-def test_batch_read_refuses_mixed_k_and_bad_indices():
-    secrets = [scheme.SecretString.random(k, rng_for(k)) for k in (8, 4)]
-    with pytest.raises(ValueError, match="one k"):
-        scheme.read_blocks(secrets, np.ones((2, 3), dtype=np.int64))
-    with pytest.raises(ValueError, match="one row per secret"):
-        scheme.read_blocks(secrets[:1], np.ones((2, 3), dtype=np.int64))
+def test_skip_secret_refuses_what_it_cannot_skip():
+    """Another bit generator, a pending 32-bit half and k past 32 raise."""
+    pending = rng_for(1)
+    pending.integers(0, 2**32, dtype=np.uint32)
+    for k, rng in ((8, np.random.Generator(np.random.Philox(1))), (8, pending), (36, rng_for(1))):
+        with pytest.raises(ValueError):
+            scheme.skip_secret(k, rng)
+
+
+def test_batch_read_refuses_bad_indices():
+    starts = [scheme.skip_secret(8, rng_for(8))]
+    with pytest.raises(ValueError, match="one row per start state"):
+        scheme.read_blocks(8, starts, np.ones((2, 3), dtype=np.int64))
     for bad in (0, 257):
         with pytest.raises(ValueError, match="out of range"):
-            scheme.read_blocks(secrets[:1], [[1, bad]])
+            scheme.read_blocks(8, starts, [[1, bad]])
 
 
 # -- reports -------------------------------------------------------------------------
@@ -352,26 +355,27 @@ def test_ledger_refuses_out_of_range_values():
 def test_btest_examples():
     secret = scheme.SecretString(4, list(range(16)))
     fresh = [1, 2, 3]
-    assert scheme.btest(secret, fresh, [secret.block(i) for i in fresh]).tolist() == [True] * 3
-    assert scheme.btest(secret, [1, 1], [secret.block(1)] * 2).tolist() == [True, False]
-    assert scheme.btest(secret, fresh, [secret.block(i) ^ 1 for i in fresh]).tolist() == [False] * 3
-    assert scheme.btest(secret, [], []).tolist() == []
+    truth = secret.blocks(fresh)
+    assert scheme.btest(4, fresh, [secret.block(i) for i in fresh], truth).tolist() == [True] * 3
+    assert scheme.btest(4, [1, 1], [secret.block(1)] * 2, secret.blocks([1, 1])).tolist() == [True, False]
+    assert scheme.btest(4, fresh, [secret.block(i) ^ 1 for i in fresh], truth).tolist() == [False] * 3
+    assert scheme.btest(4, [], [], []).tolist() == []
 
 
 def test_btest_refuses_out_of_range_pairs():
     """An out-of-range value would OR into the index bits of its wire form
     and spend another pair: (1, 16) has the wire form of the honest (2, 0)."""
     secret = scheme.SecretString(4, [5, 0] + [1] * 14)
-    assert scheme.btest(secret, [2], [0]).tolist() == [True]
+    assert scheme.btest(4, [2], [0], secret.blocks([2])).tolist() == [True]
     for indices, values in (([1, 2], [16, 0]), ([1, 2], [-1, 0]), ([0], [5]), ([17], [1])):
         with pytest.raises(ValueError, match="out of range"):
-            scheme.btest(secret, indices, values)
+            scheme.btest(4, indices, values, np.zeros(len(indices), dtype=np.uint64))
 
 
 def test_btest_budget_enforced():
     secret = scheme.SecretString.random(4, rng_for(17))
     with pytest.raises(ValueError):
-        scheme.btest(secret, [1] * 5, [0] * 5)  # budget is 2^(k/2) = 4
+        scheme.btest(4, [1] * 5, [0] * 5, secret.blocks([1] * 5))  # budget is 2^(k/2) = 4
 
 
 def test_btest_accept_count_bounded_by_distinct_valid_pairs():
@@ -379,7 +383,8 @@ def test_btest_accept_count_bounded_by_distinct_valid_pairs():
     secret = scheme.SecretString.random(4, rng)
     for _ in range(50):
         pairs = [(int(rng.integers(1, 17)), int(rng.integers(0, 16))) for _ in range(4)]
-        accepted = np.count_nonzero(scheme.btest(secret, *zip(*pairs)))
+        indices, values = zip(*pairs)
+        accepted = np.count_nonzero(scheme.btest(4, indices, values, secret.blocks(indices)))
         distinct_valid = len({(i, v) for i, v in pairs if secret.block(i) == v})
         assert accepted <= distinct_valid
 
@@ -408,11 +413,12 @@ def test_btest_decides_like_a_sequential_ledger(k, seed, draws, bad):
         position, offset = bad
         values[position % len(values)] = size + offset if offset >= 0 else offset
         with pytest.raises(ValueError, match="out of range"):
-            scheme.btest(secret, indices, values)
+            scheme.btest(k, indices, values, secret.blocks(indices))
         return
     ledger = scheme.Ledger(secret, cap)
     want = [ledger.verify(i, v) is None for i, v in zip(indices, values)]
-    got = scheme.btest(secret, np.array(indices), np.array(values, dtype=np.uint64))
+    got = scheme.btest(k, np.array(indices), np.array(values, dtype=np.uint64),
+                       secret.blocks(np.array(indices, dtype=np.int64)))
     assert got.dtype == bool and got.tolist() == want
 
 
@@ -445,11 +451,11 @@ def test_2d_btest_decides_each_row_like_its_own_sequential_ledger(k, seed, share
         values.append(val)
     indices = np.array(indices, dtype=np.int64).reshape(len(draws), width)
     values = np.array(values, dtype=np.uint64).reshape(len(draws), width)
-    blocks = None if shared else np.stack([s.blocks(i) for s, i in zip(secrets, indices)])
-    got = scheme.btest(first, indices, values, blocks)
+    blocks = np.stack([s.blocks(i) for s, i in zip(secrets, indices)])
+    got = scheme.btest(k, indices, values, blocks)
     assert got.dtype == bool and got.shape == indices.shape and got.tolist() == want
     for secret, idx, val, row in zip(secrets, indices, values, got):
-        assert scheme.btest(secret, idx, val).tolist() == row.tolist()
+        assert scheme.btest(k, idx, val, secret.blocks(idx)).tolist() == row.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,7 +470,8 @@ def test_2d_btest_refuses_what_the_1d_call_refuses(k, rows, data, fault):
     size = 1 << k
     width = cap + 1 if fault == "budget" else cap
     indices = rng_for(rows).integers(1, size + 1, size=(rows, width))
-    values = secret.blocks(indices).astype(np.int64)
+    truth = secret.blocks(indices)
+    values = truth.astype(np.int64)
     row = data.draw(st.integers(0, rows - 1))
     col = data.draw(st.integers(0, width - 1))
     if fault == "index 0":
@@ -478,9 +485,9 @@ def test_2d_btest_refuses_what_the_1d_call_refuses(k, rows, data, fault):
     elif fault == "shape":
         values = values[:, :-1]
     with pytest.raises(ValueError) as alone:
-        scheme.btest(secret, indices[row], values[row])
+        scheme.btest(k, indices[row], values[row], truth[row])
     with pytest.raises(ValueError) as batched:
-        scheme.btest(secret, indices, values)
+        scheme.btest(k, indices, values, truth)
     assert str(batched.value) == str(alone.value)
 
 
